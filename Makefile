@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-go bench-convex bench-delta bench-shard bench-server bench-telemetry bench-faults chaos fuzz clean
+.PHONY: all build test race vet lint bench bench-go bench-maxmax bench-convex bench-delta bench-shard bench-server bench-telemetry bench-faults chaos fuzz clean
 
 all: build vet lint test
 
@@ -33,6 +33,11 @@ bench:
 # Standard Go benchmarks for the scan hot path.
 bench-go:
 	$(GO) test -bench 'BenchmarkScan' -benchmem -run '^$$' .
+
+# MaxMax per loop (ns/op, B/op, allocs/op): the scanner's default
+# strategy, every start evaluated by index, only the winner materialized.
+bench-maxmax:
+	$(GO) test -bench 'BenchmarkMaxMax' -benchmem -run '^$$' ./internal/strategy
 
 # Full-vs-delta per-block scan throughput (~10% of pools trading between
 # scans). Quick enough for CI.

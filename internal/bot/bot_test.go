@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/big"
+	"runtime"
 	"testing"
 
 	"arbloop/internal/cex"
@@ -349,5 +350,28 @@ func TestBotReoptimizeHeightAdvances(t *testing.T) {
 	}
 	if r2.Height != r1.Height+1 {
 		t.Errorf("heights %d, %d; want consecutive", r1.Height, r2.Height)
+	}
+}
+
+// TestBotDeltaSurvivesGOMAXPROCSChange: the bot resolves its scan config
+// once in New, so a GOMAXPROCS change between blocks keeps the delta
+// baseline — the second block is a delta scan, not a silent re-capture.
+func TestBotDeltaSurvivesGOMAXPROCSChange(t *testing.T) {
+	b, err := New(paperChain(t), paperOracle(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := b.Step(ctx); err != nil {
+		t.Fatal(err)
+	}
+	prev := runtime.GOMAXPROCS(0)
+	runtime.GOMAXPROCS(prev + 1)
+	defer runtime.GOMAXPROCS(prev)
+	if _, err := b.Step(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := b.delta.Stats(); st.FullScans != 1 || st.DeltaScans < 1 {
+		t.Errorf("after a GOMAXPROCS change: full=%d delta=%d, want 1 full then delta scans", st.FullScans, st.DeltaScans)
 	}
 }

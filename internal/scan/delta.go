@@ -44,7 +44,6 @@ package scan
 import (
 	"context"
 	"reflect"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -382,11 +381,14 @@ type scratch struct {
 	// prevRes[li] points at the loop's captured result in the previous
 	// baseline (same orientation, no error) — the warm start handed to
 	// WarmStarter strategies; nil when the capture is unusable.
-	prevRes  []*strategy.Result
-	jobs     []int
-	all      []Result
-	tokenSet map[string]struct{}
-	symbols  []string
+	prevRes []*strategy.Result
+	jobs    []int
+	all     []Result
+	rank    []int32 // assembleReport's ranked-index buffer
+	// tokenSeen[n] flags graph node n as a token of a detected loop;
+	// symbols is the sorted price-fetch list built from it.
+	tokenSeen []bool
+	symbols   []string
 	// det is the report-assembly view of the scan, rebuilt in place each
 	// block so the steady-state path does not heap-allocate a detection.
 	det detection
@@ -401,9 +403,9 @@ func growSlice[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// reset prepares the arena for one scan over nPools pools, nCycles
-// cycles, and nShards shards.
-func (s *scratch) reset(nPools, nCycles, nShards int) {
+// reset prepares the arena for one scan over nPools pools, nNodes
+// tokens, nCycles cycles, and nShards shards.
+func (s *scratch) reset(nPools, nNodes, nCycles, nShards int) {
 	s.dirtyPool = growSlice(s.dirtyPool, nPools)
 	clear(s.dirtyPool)
 	s.dirtyCycle = growSlice(s.dirtyCycle, nCycles)
@@ -423,11 +425,8 @@ func (s *scratch) reset(nPools, nCycles, nShards int) {
 	s.reopt = s.reopt[:0]
 	s.prevRes = s.prevRes[:0]
 	s.jobs = s.jobs[:0]
-	if s.tokenSet == nil {
-		s.tokenSet = make(map[string]struct{})
-	} else {
-		clear(s.tokenSet)
-	}
+	s.tokenSeen = growSlice(s.tokenSeen, nNodes)
+	clear(s.tokenSeen)
 	s.symbols = s.symbols[:0]
 }
 
@@ -445,7 +444,9 @@ func (s *scratch) reset(nPools, nCycles, nShards int) {
 //
 // RunDelta falls back to a full scan (capturing fresh state) whenever st
 // has no usable baseline: the first scan, a changed topology, changed
-// enumeration bounds or shard count, or a changed strategy.
+// enumeration bounds or shard count, or a changed strategy. Callers that
+// scan block after block pass a Config.Resolve'd config, so the default
+// shard count is fixed once rather than re-derived from GOMAXPROCS.
 //
 // RunDelta is the steady-state per-block path, pinned to a ~7-alloc
 // budget (TestDeltaScanAllocBudget, TestTelemetryScanAllocs). Every
@@ -455,7 +456,7 @@ func (s *scratch) reset(nPools, nCycles, nShards int) {
 //
 //arblint:hotpath
 func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices source.PriceSource, cfg Config, st *DeltaState) (Report, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.Resolve()
 	pools = Canonicalize(pools)
 	if len(pools) == 0 {
 		return Report{}, errNoPools
@@ -487,7 +488,7 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 
 	scr := st.checkoutScratch()
 	defer st.putScratch(scr)
-	scr.reset(len(pools), len(top.cycles), plan.n)
+	scr.reset(len(pools), g.NumNodes(), len(top.cycles), plan.n)
 
 	// Dirty pools: the reserve diff against the captured baseline is
 	// authoritative; the hint can only widen it.
@@ -553,7 +554,7 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 					sb.entries[lo] = deltaEntry{} // drop the stale capture
 					continue
 				}
-				loop, err := LoopFromDirected(g, directedFor(top.cycles[ci], o))
+				loop, err := loopFromCycle(g, top.cycles[ci], o)
 				if err != nil {
 					scr.shardErrs[k] = err
 					return false
@@ -619,9 +620,7 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 		} else {
 			scr.prevRes = append(scr.prevRes, nil)
 		}
-		for k := 0; k < loop.Len(); k++ {
-			scr.tokenSet[loop.Token(k)] = struct{}{}
-		}
+		markNodes(scr.tokenSeen, top.cycles[ci])
 	}
 
 	if timed {
@@ -634,10 +633,7 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 	// full scan would fetch). A moved price re-optimizes every loop
 	// touching the token — cached Monetized values are stale for it —
 	// and wakes the loop's shard for the copy-on-write commit.
-	for tok := range scr.tokenSet {
-		scr.symbols = append(scr.symbols, tok)
-	}
-	slices.Sort(scr.symbols)
+	scr.symbols = appendSymbols(scr.symbols, g, scr.tokenSeen)
 	pm, degraded, err := fetchPriceSymbols(ctx, prices, scr.symbols, cfg.StageTimeout)
 	if err != nil {
 		return Report{}, err
@@ -721,7 +717,8 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 	// assembleReport only reads the detection within the call, so the
 	// scratch arena carries it across blocks instead of the heap.
 	scr.det = detection{graph: g, top: top, loops: scr.loops, prices: pm, cacheHit: true, degraded: degraded}
-	rep, err := assembleReport(&scr.det, cfg, scr.all, len(scr.jobs), len(scr.loops)-len(scr.jobs))
+	scr.rank = growSlice(scr.rank, len(scr.all))
+	rep, err := assembleReport(&scr.det, cfg, scr.all, len(scr.jobs), len(scr.loops)-len(scr.jobs), scr.rank)
 	if err != nil {
 		return Report{}, err
 	}
@@ -788,7 +785,7 @@ func runCapture(ctx context.Context, pools []*amm.Pool, prices source.PriceSourc
 		m.LoopsReoptimized.Add(uint64(len(d.loops)))
 		t = now
 	}
-	rep, err := assembleReport(d, cfg, all, len(d.loops), 0)
+	rep, err := assembleReport(d, cfg, all, len(d.loops), 0, nil)
 	if err != nil {
 		return Report{}, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"arbloop/internal/amm"
 	"arbloop/internal/cex"
+	"arbloop/internal/cycles"
 	"arbloop/internal/market"
 	"arbloop/internal/source"
 	"arbloop/internal/strategy"
@@ -431,4 +432,60 @@ func TestRunDeltaHintOnlyWidens(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameReport(t, delta, full)
+}
+
+// TestOrientCycleMatchesDirectedProducts: orienting by hop index off the
+// undirected cycle agrees with cycles.PriceProduct over the Forward and
+// Reverse copies it replaced, and loopFromCycle builds the same loop as
+// LoopFromDirected.
+func TestOrientCycleMatchesDirectedProducts(t *testing.T) {
+	pools, _ := deltaMarket(t)
+	g, top, _, err := enumerateTopology(Canonicalize(pools), Config{}.Resolve())
+	if err != nil {
+		t.Fatal(err)
+	}
+	profitable := 0
+	for _, c := range top.cycles {
+		want := orientNone
+		for _, o := range []int8{orientForward, orientReverse} {
+			prod, err := cycles.PriceProduct(g, directedFor(c, o))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prod > 1 {
+				want = o
+				break
+			}
+		}
+		got, err := orientCycle(g, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("cycle %v: orientation %d, want %d", c, got, want)
+		}
+		if got == orientNone {
+			continue
+		}
+		profitable++
+		a, err := loopFromCycle(g, c, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := LoopFromDirected(g, directedFor(c, got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.String() != b.String() {
+			t.Fatalf("cycle %v: loop %s, want %s", c, a, b)
+		}
+		for i := 0; i < a.Len(); i++ {
+			if a.Hop(i) != b.Hop(i) {
+				t.Fatalf("cycle %v: hop %d differs", c, i)
+			}
+		}
+	}
+	if profitable == 0 {
+		t.Fatal("fixture has no profitable cycle")
+	}
 }

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,7 +122,16 @@ type Config struct {
 	WarmHints *WarmHints
 }
 
-func (c Config) withDefaults() Config {
+// Resolve returns the config with every default filled in: loop
+// bounds, strategy, and the GOMAXPROCS-derived Parallelism and Shards.
+// A caller that keeps a DeltaState across scans resolves once, when it
+// builds the state, and passes the resolved config to every RunDelta:
+// the shard count is part of the delta baseline's identity, so a default
+// re-derived per scan would silently force a full capture whenever
+// GOMAXPROCS changes between blocks (an explicit runtime.GOMAXPROCS
+// call, testing.AllocsPerRun, or the runtime tracking a new cgroup CPU
+// limit).
+func (c Config) Resolve() Config {
 	if c.MinLen <= 0 {
 		c.MinLen = 3
 	}
@@ -223,18 +231,36 @@ const (
 
 // orientCycle returns the profitable orientation of a cycle against the
 // current reserves, mirroring cycles.ArbitrageLoops (forward tested
-// first).
+// first). Both price products are read off the undirected cycle by hop
+// index — no Directed copies — multiplying the same spot prices in the
+// same order as cycles.PriceProduct over Forward and Reverse.
 func orientCycle(g *graph.Graph, c cycles.Cycle) (int8, error) {
-	for _, o := range []int8{orientForward, orientReverse} {
-		prod, err := cycles.PriceProduct(g, directedFor(c, o))
-		if err != nil {
-			return orientNone, err
+	for _, o := range [2]int8{orientForward, orientReverse} {
+		prod := 1.0
+		for i := range c.Nodes {
+			node, pool := cycleHop(c, o, i)
+			p, err := g.Pool(pool).SpotPrice(g.Node(node))
+			if err != nil {
+				return orientNone, fmt.Errorf("hop %d: %w", i, err)
+			}
+			prod *= p
 		}
 		if prod > 1 {
 			return o, nil
 		}
 	}
 	return orientNone, nil
+}
+
+// cycleHop returns the input node and pool of hop i of the cycle's
+// traversal in orientation o — element i of directedFor(c, o) without
+// building it.
+func cycleHop(c cycles.Cycle, o int8, i int) (node, pool int) {
+	if o == orientReverse {
+		k := len(c.Nodes)
+		return c.Nodes[(k-i)%k], c.Pools[k-1-i]
+	}
+	return c.Nodes[i], c.Pools[i]
 }
 
 // directedFor returns the directed traversal of a cycle for a non-none
@@ -244,6 +270,41 @@ func directedFor(c cycles.Cycle, o int8) cycles.Directed {
 		return c.Reverse()
 	}
 	return c.Forward()
+}
+
+// loopFromCycle is LoopFromDirected(g, directedFor(c, o)) without the
+// intermediate Directed copy.
+func loopFromCycle(g *graph.Graph, c cycles.Cycle, o int8) (*strategy.Loop, error) {
+	hops := make([]strategy.Hop, len(c.Nodes))
+	for i := range hops {
+		node, pool := cycleHop(c, o, i)
+		hops[i] = strategy.Hop{Pool: g.Pool(pool), TokenIn: g.Node(node)}
+	}
+	l, err := strategy.NewLoop(hops)
+	if err != nil {
+		return nil, fmt.Errorf("scan: directed cycle %v: %w", directedFor(c, o), err)
+	}
+	return l, nil
+}
+
+// markNodes flags every node of the cycle in seen (indexed by graph
+// node): a loop's tokens are its cycle's nodes in either orientation.
+func markNodes(seen []bool, c cycles.Cycle) {
+	for _, n := range c.Nodes {
+		seen[n] = true
+	}
+}
+
+// appendSymbols appends the token key of every node flagged in seen and
+// sorts the result — the batched price fetch's symbol list.
+func appendSymbols(dst []string, g *graph.Graph, seen []bool) []string {
+	for n, ok := range seen {
+		if ok {
+			dst = append(dst, g.Node(n))
+		}
+	}
+	slices.Sort(dst)
+	return dst
 }
 
 // enumerateTopology is the topology phase of detection: the cycle
@@ -311,7 +372,7 @@ func detect(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, c
 		loopOf:   make([]int, len(cs)),
 		cacheHit: hit,
 	}
-	tokenSet := make(map[string]struct{})
+	seen := make([]bool, g.NumNodes())
 	for ci, c := range cs {
 		o, err := orientCycle(g, c)
 		if err != nil {
@@ -322,15 +383,13 @@ func detect(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, c
 		if o == orientNone {
 			continue
 		}
-		loop, err := LoopFromDirected(g, directedFor(c, o))
+		loop, err := loopFromCycle(g, c, o)
 		if err != nil {
 			return nil, err
 		}
 		d.loopOf[ci] = len(d.loops)
 		d.loops = append(d.loops, loop)
-		for _, t := range loop.Tokens() {
-			tokenSet[t] = struct{}{}
-		}
+		markNodes(seen, c)
 	}
 
 	if m != nil {
@@ -339,7 +398,7 @@ func detect(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, c
 		m.StageOrient.Observe(now.Sub(t0))
 		t0 = now
 	}
-	d.prices, d.degraded, err = fetchPrices(ctx, prices, tokenSet, cfg.StageTimeout)
+	d.prices, d.degraded, err = fetchPriceSymbols(ctx, prices, appendSymbols(nil, g, seen), cfg.StageTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -349,24 +408,9 @@ func detect(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, c
 	return d, nil
 }
 
-// fetchPrices batch-fetches CEX prices for a token set in sorted symbol
-// order.
-func fetchPrices(ctx context.Context, prices source.PriceSource, tokenSet map[string]struct{}, timeout time.Duration) (strategy.PriceMap, bool, error) {
-	if len(tokenSet) == 0 {
-		return strategy.PriceMap{}, false, nil
-	}
-	symbols := make([]string, 0, len(tokenSet))
-	for s := range tokenSet {
-		symbols = append(symbols, s)
-	}
-	sort.Strings(symbols)
-	return fetchPriceSymbols(ctx, prices, symbols, timeout)
-}
-
-// fetchPriceSymbols batch-fetches prices for an already sorted symbol
-// list — the delta path's variant, which reuses its scratch symbol slice
-// instead of building a fresh set per scan. The source must treat the
-// slice as read-only.
+// fetchPriceSymbols batch-fetches prices for a sorted symbol list (see
+// appendSymbols; the delta path reuses its scratch slice). The source
+// must treat the slice as read-only.
 //
 // This is the scan's one externally-blocking stage, so the containment
 // hooks live here: a positive timeout puts a deadline on the call
@@ -537,15 +581,19 @@ func allJobs(n int) []int {
 // assembleReport turns the complete per-loop result set (indexed by loop,
 // failures included, unfiltered) into the ranked batch report, applying
 // the systemic-failure check, the MinProfitUSD filter, ranking, and TopK
-// truncation. reoptimized + reused must equal len(all).
-func assembleReport(d *detection, cfg Config, all []Result, reoptimized, reused int) (Report, error) {
+// truncation. reoptimized + reused must equal len(all). rank is a
+// reusable buffer for the ranked indices (nil allocates one); ranking
+// moves int32 indices into all, never Result values, and Report.Results
+// is allocated once at its final length.
+func assembleReport(d *detection, cfg Config, all []Result, reoptimized, reused int, rank []int32) (Report, error) {
 	var (
 		firstErr  error
 		failed    int
 		succeeded int
 	)
-	results := make([]Result, 0, len(all))
-	for _, r := range all {
+	idx := rank[:0]
+	for i := range all {
+		r := &all[i]
 		if r.Err != nil {
 			failed++
 			if firstErr == nil {
@@ -557,7 +605,7 @@ func assembleReport(d *detection, cfg Config, all []Result, reoptimized, reused 
 		if r.Result.Monetized < cfg.MinProfitUSD {
 			continue
 		}
-		results = append(results, r)
+		idx = append(idx, int32(i))
 	}
 	if firstErr != nil && succeeded == 0 {
 		// Every loop failed — a systemic cause (e.g. a price-map hole);
@@ -566,19 +614,10 @@ func assembleReport(d *detection, cfg Config, all []Result, reoptimized, reused 
 		return Report{}, firstErr
 	}
 
-	// slices.SortFunc instead of sort.Slice: same order, but no
-	// reflect.Swapper allocation on the per-block path.
-	slices.SortFunc(results, func(a, b Result) int {
-		if a.Result.Monetized != b.Result.Monetized {
-			if a.Result.Monetized > b.Result.Monetized {
-				return -1
-			}
-			return 1
-		}
-		return a.Index - b.Index
-	})
-	if cfg.TopK > 0 && len(results) > cfg.TopK {
-		results = results[:cfg.TopK]
+	idx = rankTop(idx, all, cfg.TopK)
+	results := make([]Result, len(idx))
+	for k, i := range idx {
+		results[k] = all[i]
 	}
 	if d.degraded && cfg.Metrics != nil {
 		cfg.Metrics.DegradedScans.Inc()
@@ -599,9 +638,82 @@ func assembleReport(d *detection, cfg Config, all []Result, reoptimized, reused 
 	}, nil
 }
 
+// rankCmp orders two results for the report: Monetized descending, then
+// Index ascending — a total order, since Index is unique per scan. A NaN
+// profit (never produced by the built-in strategies) ranks last.
+//
+//arblint:hotpath
+func rankCmp(all []Result, a, b int32) int {
+	x, y := all[a].Result.Monetized, all[b].Result.Monetized
+	switch {
+	case x > y:
+		return -1
+	case x < y:
+		return 1
+	case x != y: // at least one NaN
+		if x == x {
+			return -1
+		}
+		if y == y {
+			return 1
+		}
+	}
+	return all[a].Index - all[b].Index
+}
+
+// rankTop reorders idx (indices into all) into report order and returns
+// its first k entries (every entry when k <= 0). It selects in one pass
+// over a k-sized heap whose root is the worst result kept so far, then
+// heap-sorts the survivors in place: O(L log k) comparisons, no
+// allocation, and — the order being total — the same output as a full
+// sort truncated to k.
+//
+//arblint:hotpath
+func rankTop(idx []int32, all []Result, k int) []int32 {
+	if k <= 0 || k > len(idx) {
+		k = len(idx)
+	}
+	h := idx[:k]
+	for i := k/2 - 1; i >= 0; i-- {
+		siftWorst(h, all, i)
+	}
+	for _, e := range idx[k:] {
+		if rankCmp(all, e, h[0]) < 0 {
+			h[0] = e
+			siftWorst(h, all, 0)
+		}
+	}
+	for end := k - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftWorst(h[:end], all, 0)
+	}
+	return h
+}
+
+// siftWorst restores the heap property below h[i]: every node ranks no
+// better than its children, so h[0] is the worst-ranked entry.
+//
+//arblint:hotpath
+func siftWorst(h []int32, all []Result, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && rankCmp(all, h[c+1], h[c]) > 0 {
+			c++
+		}
+		if rankCmp(all, h[c], h[i]) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
 // Run scans the pool set once and returns the ranked batch report.
 func Run(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, cfg Config) (Report, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.Resolve()
 	m := cfg.Metrics
 	var start, t time.Time
 	if m != nil {
@@ -623,7 +735,7 @@ func Run(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, cfg 
 		m.StageOptimize.Observe(time.Since(t))
 		m.LoopsReoptimized.Add(uint64(len(d.loops)))
 	}
-	rep, err := assembleReport(d, cfg, all, len(d.loops), 0)
+	rep, err := assembleReport(d, cfg, all, len(d.loops), 0, nil)
 	if m != nil && err == nil {
 		m.ScanTotal.Observe(time.Since(start))
 	}
@@ -654,7 +766,7 @@ func collectAll(ctx context.Context, d *detection, cfg Config) []Result {
 // detection-stage failure arrives as a single Result with Err set and a
 // nil Loop.
 func Stream(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, cfg Config) <-chan Result {
-	cfg = cfg.withDefaults()
+	cfg = cfg.Resolve()
 	out := make(chan Result)
 	go func() {
 		defer close(out)

@@ -357,13 +357,13 @@ func TestOptimizeIntoZeroAllocPerLoop(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
 	ctx := context.Background()
-	d, err := detect(ctx, Canonicalize(pools), src, Config{}.withDefaults())
+	d, err := detect(ctx, Canonicalize(pools), src, Config{}.Resolve())
 	if err != nil {
 		t.Fatal(err)
 	}
 	jobs := allJobs(len(d.loops))
 	out := make([]Result, len(d.loops))
-	cfg := Config{Strategy: nullStrategy{}, Parallelism: 1}.withDefaults()
+	cfg := Config{Strategy: nullStrategy{}, Parallelism: 1}.Resolve()
 	allocs := testing.AllocsPerRun(20, func() {
 		optimizeInto(ctx, d.loops, d.prices, jobs, nil, out, cfg)
 	})
@@ -399,7 +399,7 @@ func TestRunDeltaSteadyStateAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("clean delta scan: %.1f allocs", allocs)
-	const cleanBudget = 64
+	const cleanBudget = 7
 	if allocs > cleanBudget {
 		t.Errorf("clean delta scan allocates %.1f, budget %d", allocs, cleanBudget)
 	}

@@ -141,21 +141,8 @@ func convexStructured(l *Loop, prices PriceMap, opts ConvexOptions, prev *Result
 	defer convexWSPool.Put(w)
 	w.reset(n)
 
-	for i := 0; i < n; i++ {
-		h := l.Hop(i)
-		rin, rout, err := h.Pool.Reserves(l.tokens[i])
-		if err != nil {
-			return Result{}, err
-		}
-		out, err := h.TokenOut()
-		if err != nil {
-			return Result{}, err
-		}
-		w.prob.Gamma[i] = h.Pool.Gamma()
-		w.prob.RIn[i] = rin
-		w.prob.ROut[i] = rout
-		w.prob.PIn[i] = prices[l.tokens[i]]
-		w.prob.POut[i] = prices[out]
+	if err := stageLoop(&w.prob, l, prices); err != nil {
+		return Result{}, err
 	}
 
 	// Start point: the previous solution when it re-feasibilizes, the
@@ -170,7 +157,7 @@ func convexStructured(l *Loop, prices PriceMap, opts ConvexOptions, prev *Result
 			tel.WarmMisses.Inc()
 		}
 	}
-	mmProfit := w.bestRotation(l)
+	_, mmProfit, _ := bestRotation(&w.prob, w.amts, w.base)
 	if !started && !w.shrinkToInterior([]float64{0.05, 0.15, 0.4, 0.75}) {
 		// Near-degenerate loop: no strictly interior point is reachable
 		// in float64 (price product barely above 1). Serve the MaxMax
@@ -287,44 +274,6 @@ func alignPrevInputs(l *Loop, prev *Result, dst []float64) bool {
 // the interior.
 func (w *convexWS) startFromPrev(l *Loop, prev *Result) bool {
 	return alignPrevInputs(l, prev, w.base) && w.shrinkToInterior(prevShrinkEtas)
-}
-
-// bestRotation runs the closed-form single-start optimum from every
-// rotation of the loop — MaxMax, but allocation-free against the staged
-// coefficients — writes the best rotation's per-hop inputs into w.base,
-// and returns its monetized profit. Rotations are scanned in loop order
-// and ties keep the earliest, mirroring MaxMax's determinism.
-func (w *convexWS) bestRotation(l *Loop) float64 {
-	n := l.Len()
-	best := math.Inf(-1)
-	for r := 0; r < n; r++ {
-		// Compose the Möbius maps F(Δ) = AΔ/(B+CΔ) of hops r, r+1, …
-		A, B, C := 1.0, 1.0, 0.0
-		for k := 0; k < n; k++ {
-			i := (r + k) % n
-			a2, b2, c2 := w.prob.Gamma[i]*w.prob.ROut[i], w.prob.RIn[i], w.prob.Gamma[i]
-			A, B, C = a2*A, B*b2, b2*C+c2*A
-		}
-		input := 0.0
-		if A > B && C > 0 {
-			input = (math.Sqrt(A*B) - B) / C
-		}
-		// Walk the plan and monetize: only the start and end amounts are
-		// net (intermediate hops consume exactly what the previous one
-		// produced), so profit = P_start·(final − initial amount).
-		amt := input
-		for k := 0; k < n; k++ {
-			i := (r + k) % n
-			w.amts[i] = amt
-			amt = w.prob.F(i, amt)
-		}
-		profit := w.prob.PIn[r] * (amt - input)
-		if profit > best {
-			best = profit
-			copy(w.base, w.amts)
-		}
-	}
-	return best
 }
 
 // shrinkToInterior scales w.base by each (1−η) in turn until the point is

@@ -52,15 +52,15 @@ type Loop struct {
 	tokens []string // tokens[i] = input token of hop i
 }
 
-// NewLoop validates the hop sequence and builds a loop.
+// NewLoop validates the hop sequence and builds a loop. Repeated tokens
+// and pools are found by scanning the earlier hops: loops are a handful
+// of hops long, so the O(n²) scan beats building two sets.
 func NewLoop(hops []Hop) (*Loop, error) {
 	n := len(hops)
 	if n < 2 {
 		return nil, fmt.Errorf("%w: got %d", ErrEmptyLoop, n)
 	}
 	tokens := make([]string, n)
-	seenTok := make(map[string]bool, n)
-	seenPool := make(map[*amm.Pool]bool, n)
 	for i, h := range hops {
 		if h.Pool == nil {
 			return nil, fmt.Errorf("strategy: hop %d has nil pool", i)
@@ -68,14 +68,16 @@ func NewLoop(hops []Hop) (*Loop, error) {
 		if !h.Pool.Has(h.TokenIn) {
 			return nil, fmt.Errorf("strategy: hop %d: %w", i, amm.ErrUnknownToken)
 		}
-		if seenTok[h.TokenIn] {
-			return nil, fmt.Errorf("%w: %q", ErrRepeatedToken, h.TokenIn)
+		for _, prev := range hops[:i] {
+			if prev.TokenIn == h.TokenIn {
+				return nil, fmt.Errorf("%w: %q", ErrRepeatedToken, h.TokenIn)
+			}
 		}
-		seenTok[h.TokenIn] = true
-		if seenPool[h.Pool] {
-			return nil, fmt.Errorf("%w: %s", ErrRepeatedPool, h.Pool.ID)
+		for _, prev := range hops[:i] {
+			if prev.Pool == h.Pool {
+				return nil, fmt.Errorf("%w: %s", ErrRepeatedPool, h.Pool.ID)
+			}
 		}
-		seenPool[h.Pool] = true
 		tokens[i] = h.TokenIn
 	}
 	for i, h := range hops {

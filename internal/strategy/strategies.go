@@ -3,6 +3,7 @@ package strategy
 import (
 	"fmt"
 
+	"arbloop/internal/convexopt"
 	"arbloop/internal/numeric"
 )
 
@@ -66,6 +67,12 @@ func Traditional(l *Loop, start string, prices PriceMap) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	return traditionalAnchored(rot, prices)
+}
+
+// traditionalAnchored is Traditional on a loop already rotated to its
+// start token, with prices already validated against it.
+func traditionalAnchored(rot *Loop, prices PriceMap) (Result, error) {
 	m, err := rot.Mobius()
 	if err != nil {
 		return Result{}, err
@@ -83,7 +90,7 @@ func Traditional(l *Loop, start string, prices PriceMap) (Result, error) {
 	return Result{
 		Strategy:   NameTraditional,
 		Loop:       rot,
-		StartToken: start,
+		StartToken: rot.tokens[0],
 		Input:      input,
 		Plan:       plan,
 		NetTokens:  net,
@@ -126,10 +133,60 @@ func MaxPrice(l *Loop, prices PriceMap) (Result, error) {
 	return r, nil
 }
 
+// maxMaxStackHops bounds the loop length MaxMax evaluates without
+// allocating scratch.
+const maxMaxStackHops = 8
+
 // MaxMax runs Traditional from every token and returns the rotation with
 // the largest monetized profit (paper eq. (6)). Ties keep the earliest
 // rotation, making the result deterministic.
+//
+// Every start is evaluated by hop index (bestRotation) against stack
+// scratch; only the winning start is materialized — rotated loop, plan,
+// net tokens — exactly as Traditional builds it, so the result is
+// bit-identical to picking the best of TraditionalAll (maxMaxReference)
+// while allocating for one start instead of every start.
 func MaxMax(l *Loop, prices PriceMap) (Result, error) {
+	if err := prices.Validate(l); err != nil {
+		return Result{}, err
+	}
+	// Loops up to maxMaxStackHops stage on the stack; longer ones (rare —
+	// scans default to length 3) allocate their scratch.
+	var buf [6 * maxMaxStackHops]float64
+	n := l.Len()
+	scr := buf[:]
+	if n > maxMaxStackHops {
+		scr = make([]float64, 6*n)
+	}
+	p := convexopt.LoopProblem{
+		Gamma: scr[0*n : 1*n],
+		RIn:   scr[1*n : 2*n],
+		ROut:  scr[2*n : 3*n],
+		PIn:   scr[3*n : 4*n],
+		POut:  scr[4*n : 5*n],
+	}
+	if err := stageLoop(&p, l, prices); err != nil {
+		return Result{}, err
+	}
+	best, _, finite := bestRotation(&p, scr[5*n:6*n], nil)
+	if !finite {
+		// Some start walks a non-finite or negative amount: Traditional
+		// rejects it (or carries it into the plan), and the reference
+		// path reproduces exactly that error or result.
+		return maxMaxReference(l, prices)
+	}
+	r, err := traditionalAnchored(l.Rotate(best), prices)
+	if err != nil {
+		return Result{}, err
+	}
+	r.Strategy = NameMaxMax
+	return r, nil
+}
+
+// maxMaxReference is MaxMax by definition: the best of TraditionalAll,
+// ties keeping the earliest start. It is the fallback for degenerate
+// loops and the oracle MaxMax is tested against.
+func maxMaxReference(l *Loop, prices PriceMap) (Result, error) {
 	all, err := TraditionalAll(l, prices)
 	if err != nil {
 		return Result{}, err

@@ -3,7 +3,6 @@ package arbloop
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"arbloop/internal/scan"
@@ -86,7 +85,7 @@ func (e errStrategy) Optimize(context.Context, *Loop, PriceMap) (Result, error) 
 }
 
 // WithParallelism bounds the optimization worker pool (default
-// GOMAXPROCS). Parallelism 1 reproduces the sequential per-loop order of
+// GOMAXPROCS, read once by NewScanner). Parallelism 1 reproduces the sequential per-loop order of
 // work exactly.
 func WithParallelism(n int) ScannerOption {
 	return func(c *scan.Config) { c.Parallelism = n }
@@ -171,7 +170,8 @@ func WithStageTimeout(d time.Duration) ScannerOption {
 }
 
 // WithShards partitions the cycle set into n shards for the delta path
-// (default GOMAXPROCS). Each shard owns the remembered state of its
+// (default GOMAXPROCS, read once by NewScanner — a later GOMAXPROCS
+// change does not repartition a running scanner). Each shard owns the remembered state of its
 // cycles — partitioned connected-component-aware over the pool→cycle
 // index — and a delta scan re-orients only the shards a dirty pool
 // touches, in parallel. Shards change how the work is organized, not
@@ -249,7 +249,10 @@ func NewScanner(pools PoolSource, prices PriceSource, opts ...ScannerOption) (*S
 	if es, bad := cfg.Strategy.(errStrategy); bad {
 		return nil, fmt.Errorf("arbloop: unknown strategy %q (registered: %v)", es.name, StrategyNames())
 	}
-	s := &Scanner{pools: pools, prices: prices, cfg: cfg}
+	// Defaults — GOMAXPROCS-derived Parallelism and Shards above all —
+	// resolve once, here, so every scan through the delta state runs
+	// under the same shard partition.
+	s := &Scanner{pools: pools, prices: prices, cfg: cfg.Resolve()}
 	if !cfg.DisableDelta {
 		s.delta = &scan.DeltaState{}
 	}
@@ -390,11 +393,7 @@ func (s *Scanner) Watch(ctx context.Context, w *Watcher) <-chan VersionedReport 
 	out := make(chan VersionedReport)
 	updates, cancel := w.Subscribe()
 	cfg := s.cfg
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	pool := scan.NewWorkers(workers)
+	pool := scan.NewWorkers(cfg.Parallelism)
 	cfg.Workers = pool
 	go func() {
 		defer close(out)

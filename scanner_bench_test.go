@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -271,6 +272,7 @@ func TestWriteScanBenchJSON(t *testing.T) {
 		Allocs    allocsBenchRow         `json:"allocs_per_scan"`
 		Server    serverBenchSection     `json:"server"`
 		Telemetry telemetryBenchSection  `json:"telemetry"`
+		History   []json.RawMessage      `json:"history,omitempty"`
 	}{
 		Benchmark: "scanner whole-market scan, §VI synthetic market",
 		GoMaxProc: n,
@@ -284,18 +286,40 @@ func TestWriteScanBenchJSON(t *testing.T) {
 		Server:    benchServerThroughput(t),
 		Telemetry: benchTelemetry(t),
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := os.Getenv("BENCH_JSON_PATH")
 	if path == "" {
 		path = "BENCH_scan.json"
+	}
+	out.History = benchHistory(t, path)
+	data, err := json.MarshalIndent(out, "", "  ")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fmt.Printf("wrote %s\n", path)
+}
+
+// benchHistory returns the "history" rows of the BENCH_scan.json at
+// path: stamped before/after recordings (commit, GOMAXPROCS, NumCPU)
+// that a regeneration appends to instead of overwriting.
+func benchHistory(t *testing.T, path string) []json.RawMessage {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev struct {
+		History []json.RawMessage `json:"history"`
+	}
+	if err := json.Unmarshal(data, &prev); err != nil {
+		t.Fatal(err)
+	}
+	return prev.History
 }
 
 // cacheBenchRow records cold-vs-warm detection throughput at one loop

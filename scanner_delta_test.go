@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -187,4 +188,47 @@ func TestScanDeltaConcurrent(t *testing.T) {
 	w.Close()
 	cancel()
 	wg.Wait()
+}
+
+// TestScanDeltaSurvivesGOMAXPROCSChange pins config resolution: the
+// default shard count and parallelism resolve once, at NewScanner, so a
+// GOMAXPROCS change between two scans keeps the delta baseline instead
+// of silently forcing a full capture (the shard count is part of the
+// baseline's identity).
+func TestScanDeltaSurvivesGOMAXPROCSChange(t *testing.T) {
+	ctx := context.Background()
+	market, prices := newMutableMarket(t)
+	sc, err := arbloop.NewScanner(market, prices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := arbloop.NewWatcher(market)
+	u, err := w.Refresh(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.ScanDelta(ctx, u); err != nil { // capture
+		t.Fatal(err)
+	}
+	shards := sc.DeltaStats().Shards
+
+	prev := runtime.GOMAXPROCS(0)
+	runtime.GOMAXPROCS(prev + 1)
+	defer runtime.GOMAXPROCS(prev)
+
+	market.trade(t, rand.New(rand.NewSource(5)), 3)
+	u, err = w.Refresh(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.ScanDelta(ctx, u); err != nil {
+		t.Fatal(err)
+	}
+	st := sc.DeltaStats()
+	if st.FullScans != 1 || st.DeltaScans != 1 {
+		t.Errorf("after a GOMAXPROCS change: full=%d delta=%d, want 1 full then 1 delta", st.FullScans, st.DeltaScans)
+	}
+	if st.Shards != shards {
+		t.Errorf("shard count moved %d -> %d with GOMAXPROCS", shards, st.Shards)
+	}
 }
