@@ -193,7 +193,7 @@ var (
 // Live pool feed: a Watcher turns any PoolSource into a versioned,
 // subscribable stream of pool updates with topology-change detection and
 // latest-wins coalescing — the input side of a block-driven service.
-// Scanner.Watch consumes one directly; Scanner.ScanVersioned scans a
+// Scanner.Watch consumes one directly; Scanner.ScanDelta scans a
 // single update.
 type (
 	// Watcher polls or is notified about pool-set changes and fans out

@@ -122,21 +122,15 @@ type Bot struct {
 	pools  *source.ChainSource
 	oracle cex.Oracle
 	cfg    Config
-	// delta keeps the previous block's per-loop results so each block
-	// re-optimizes only the loops whose pools traded since — the bot's
-	// own executions plus whatever retail flow moved. Equivalent reports,
-	// a fraction of the optimization work.
-	delta *scan.DeltaState
-	// scanCfg is the per-block scan config, resolved once in New so its
-	// GOMAXPROCS-derived shard count — part of the delta baseline's
-	// identity — cannot drift between blocks. Its topology cache keeps
-	// the enumerated cycles across blocks: reserves move every block but
-	// pools almost never do, so per-block detection skips enumeration.
-	scanCfg scan.Config
-	// pool is the persistent worker pool a Run installs for its blocks,
-	// so per-block parallel phases reuse parked goroutines instead of
-	// respawning them every block (nil outside Run: Step spawns).
-	pool *scan.Workers
+	// engine runs the per-block delta scans: it keeps the previous
+	// block's per-loop results so each block re-optimizes only the loops
+	// whose pools traded since — the bot's own executions plus whatever
+	// retail flow moved. Equivalent reports, a fraction of the
+	// optimization work. Its config resolves once, in New, so the
+	// GOMAXPROCS-derived shard count cannot drift between blocks, and its
+	// topology cache keeps the enumerated cycles across blocks. Run swaps
+	// in a view bound to a persistent worker pool for its duration.
+	engine *scan.Engine
 
 	// lifetime counters
 	blocks        int
@@ -156,15 +150,14 @@ func New(state *chain.State, oracle cex.Oracle, cfg Config) (*Bot, error) {
 		pools:  source.FromChain(state, cfg.Scale),
 		oracle: oracle,
 		cfg:    cfg,
-		delta:  &scan.DeltaState{},
-		scanCfg: scan.Config{
+		engine: scan.New(scan.Config{
 			MinLen:       cfg.LoopLen,
 			MaxLen:       cfg.LoopLen,
 			Strategy:     cfg.Strategy,
 			Parallelism:  cfg.Parallelism,
 			MinProfitUSD: cfg.MinProfitUSD,
 			Cache:        scan.NewCache(0),
-		}.Resolve(),
+		}, oracle),
 	}, nil
 }
 
@@ -205,9 +198,7 @@ func (b *Bot) findPlans(ctx context.Context) ([]plan, error) {
 	if len(pools) == 0 {
 		return nil, ErrNoPools
 	}
-	cfg := b.scanCfg
-	cfg.Workers = b.pool
-	report, err := scan.RunDelta(ctx, pools, nil, b.oracle, cfg, b.delta)
+	report, err := b.engine.Scan(ctx, pools, nil)
 	if err != nil {
 		return nil, fmt.Errorf("bot: scan: %w", err)
 	}
@@ -432,13 +423,11 @@ func (b *Bot) stepReoptimize(ctx context.Context) (BlockReport, error) {
 // the run the bot keeps a persistent scan worker pool, released when Run
 // returns.
 func (b *Bot) Run(ctx context.Context, n int) ([]BlockReport, error) {
-	if b.pool == nil {
-		b.pool = scan.NewWorkers(b.scanCfg.Parallelism)
-		defer func() {
-			b.pool.Close()
-			b.pool = nil
-		}()
-	}
+	pool := scan.NewWorkers(b.engine.Config().Parallelism)
+	defer pool.Close()
+	eng := b.engine
+	b.engine = eng.WithWorkers(pool)
+	defer func() { b.engine = eng }()
 	reports := make([]BlockReport, 0, n)
 	for i := 0; i < n; i++ {
 		select {

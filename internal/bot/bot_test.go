@@ -371,7 +371,7 @@ func TestBotDeltaSurvivesGOMAXPROCSChange(t *testing.T) {
 	if _, err := b.Step(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if st := b.delta.Stats(); st.FullScans != 1 || st.DeltaScans < 1 {
+	if st := b.engine.Stats(); st.FullScans != 1 || st.DeltaScans < 1 {
 		t.Errorf("after a GOMAXPROCS change: full=%d delta=%d, want 1 full then delta scans", st.FullScans, st.DeltaScans)
 	}
 }

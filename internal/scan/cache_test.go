@@ -67,10 +67,10 @@ func TestFingerprintSeesTopology(t *testing.T) {
 
 func TestCacheWarmScanMatchesCold(t *testing.T) {
 	cache := NewCache(0)
-	cfg := Config{Cache: cache}
+	e := New(Config{Cache: cache}, paperPrices())
 	ctx := context.Background()
 
-	cold, err := Run(ctx, paperPools(t), paperPrices(), cfg)
+	cold, err := e.Full(ctx, paperPools(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestCacheWarmScanMatchesCold(t *testing.T) {
 
 	// Same topology, moved reserves: must hit the cache and still produce
 	// a correct (freshly oriented and optimized) report.
-	warm, err := Run(ctx, reservesMoved(t), paperPrices(), cfg)
+	warm, err := e.Full(ctx, reservesMoved(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCacheWarmScanMatchesCold(t *testing.T) {
 	}
 
 	// The warm report must equal a cache-free scan of the same pools.
-	fresh, err := Run(ctx, reservesMoved(t), paperPrices(), Config{})
+	fresh, err := New(Config{}, paperPrices()).Full(ctx, reservesMoved(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +115,11 @@ func TestCacheWarmScanMatchesCold(t *testing.T) {
 func TestCacheKeyedByEnumerationBounds(t *testing.T) {
 	cache := NewCache(0)
 	ctx := context.Background()
-	if _, err := Run(ctx, paperPools(t), paperPrices(), Config{Cache: cache, MinLen: 3, MaxLen: 3}); err != nil {
+	if _, err := New(Config{Cache: cache, MinLen: 3, MaxLen: 3}, paperPrices()).Full(ctx, paperPools(t)); err != nil {
 		t.Fatal(err)
 	}
 	// Different bounds over the same fingerprint must not reuse the entry.
-	rep, err := Run(ctx, paperPools(t), paperPrices(), Config{Cache: cache, MinLen: 2, MaxLen: 3})
+	rep, err := New(Config{Cache: cache, MinLen: 2, MaxLen: 3}, paperPrices()).Full(ctx, paperPools(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +160,10 @@ func TestMaxCyclesCapsEnumeration(t *testing.T) {
 	}
 	pools = append(pools, extra) // creates additional cycles
 
-	if _, err := Run(context.Background(), pools, paperPrices(), Config{MaxCycles: 1}); !errors.Is(err, cycles.ErrTooMany) {
+	if _, err := New(Config{MaxCycles: 1}, paperPrices()).Full(context.Background(), pools); !errors.Is(err, cycles.ErrTooMany) {
 		t.Errorf("err = %v, want ErrTooMany", err)
 	}
-	if _, err := Run(context.Background(), pools, paperPrices(), Config{}); err != nil {
+	if _, err := New(Config{}, paperPrices()).Full(context.Background(), pools); err != nil {
 		t.Errorf("unlimited scan failed: %v", err)
 	}
 }

@@ -35,11 +35,9 @@ func TestRunContainsStrategyPanic(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	m := NewMetrics()
 	s := &panickyStrategy{inner: strategy.MaxMaxStrategy{}, every: 3}
-	rep, err := Run(context.Background(), pools, cex.NewStatic(prices), Config{
-		Strategy: s, Metrics: m, Parallelism: 4,
-	})
+	rep, err := New(Config{Strategy: s, Metrics: m, Parallelism: 4}, cex.NewStatic(prices)).Full(context.Background(), pools)
 	if err != nil {
-		t.Fatalf("Run: %v (panics must not fail the scan)", err)
+		t.Fatalf("Full: %v (panics must not fail the scan)", err)
 	}
 	if rep.Failed == 0 {
 		t.Fatal("no loop failed despite panicking strategy")
@@ -56,7 +54,7 @@ func TestRunContainsStrategyPanic(t *testing.T) {
 // not a crash.
 func TestRunAllPanicsSurfacesError(t *testing.T) {
 	s := &panickyStrategy{inner: strategy.MaxMaxStrategy{}, every: 1}
-	_, err := Run(context.Background(), paperPools(t), paperPrices(), Config{Strategy: s})
+	_, err := New(Config{Strategy: s}, paperPrices()).Full(context.Background(), paperPools(t))
 	if err == nil {
 		t.Fatal("all-panic scan reported success")
 	}
@@ -66,7 +64,7 @@ func TestRunAllPanicsSurfacesError(t *testing.T) {
 // per-loop Err wrapping ErrStrategyPanic.
 func TestStreamContainsStrategyPanic(t *testing.T) {
 	s := &panickyStrategy{inner: strategy.MaxMaxStrategy{}, every: 1}
-	ch := Stream(context.Background(), paperPools(t), paperPrices(), Config{Strategy: s})
+	ch := New(Config{Strategy: s}, paperPrices()).Stream(context.Background(), paperPools(t))
 	var got []Result
 	for r := range ch {
 		got = append(got, r)
@@ -83,22 +81,18 @@ func TestStreamContainsStrategyPanic(t *testing.T) {
 // recovery (regression under -race: panics fire on pooled workers).
 func TestRunDeltaContainsStrategyPanic(t *testing.T) {
 	pools, prices := deltaMarket(t)
-	src := cex.NewStatic(prices)
-	st := &DeltaState{}
 	m := NewMetrics()
 	s := &panickyStrategy{inner: strategy.MaxMaxStrategy{}, every: 4}
-	cfg := Config{Strategy: s, Metrics: m, Parallelism: 4}
-	if _, err := RunDelta(context.Background(), pools, nil, src, cfg, st); err != nil {
+	e := New(Config{Strategy: s, Metrics: m, Parallelism: 4}, cex.NewStatic(prices))
+	if _, err := e.Scan(context.Background(), pools, nil); err != nil {
 		t.Fatalf("capture: %v", err)
 	}
-	rep, err := RunDelta(context.Background(), rebuild(t, pools), nil, src, cfg, st)
-	if err != nil {
+	if _, err := e.Scan(context.Background(), rebuild(t, pools), nil); err != nil {
 		t.Fatalf("delta: %v", err)
 	}
 	if m.StrategyPanics.Load() == 0 {
 		t.Fatal("no panic recovered on the delta path")
 	}
-	_ = rep
 }
 
 // hangingPrices blocks until the caller's context ends — a wedged price
@@ -114,9 +108,7 @@ func (hangingPrices) Prices(ctx context.Context, _ []string) (map[string]float64
 // with DeadlineExceeded instead of wedging the pipeline forever.
 func TestStageTimeoutCancelsHungPriceFetch(t *testing.T) {
 	start := time.Now()
-	_, err := Run(context.Background(), paperPools(t), hangingPrices{}, Config{
-		StageTimeout: 50 * time.Millisecond,
-	})
+	_, err := New(Config{StageTimeout: 50 * time.Millisecond}, hangingPrices{}).Full(context.Background(), paperPools(t))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -145,9 +137,9 @@ var _ source.FallbackPriceSource = stalePrices{}
 func TestDegradedPricesMarkReport(t *testing.T) {
 	prices := stalePrices{m: map[string]float64{"X": 2, "Y": 10.2, "Z": 20}}
 	m := NewMetrics()
-	rep, err := Run(context.Background(), paperPools(t), prices, Config{Metrics: m})
+	rep, err := New(Config{Metrics: m}, prices).Full(context.Background(), paperPools(t))
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Full: %v", err)
 	}
 	if !rep.Degraded {
 		t.Fatal("full scan on fallback prices not marked Degraded")
@@ -156,11 +148,11 @@ func TestDegradedPricesMarkReport(t *testing.T) {
 		t.Fatalf("DegradedScans = %d, want 1", m.DegradedScans.Load())
 	}
 
-	st := &DeltaState{}
-	if _, err := RunDelta(context.Background(), paperPools(t), nil, prices, Config{}, st); err != nil {
+	e := New(Config{}, prices)
+	if _, err := e.Scan(context.Background(), paperPools(t), nil); err != nil {
 		t.Fatalf("capture: %v", err)
 	}
-	rep2, err := RunDelta(context.Background(), paperPools(t), nil, prices, Config{}, st)
+	rep2, err := e.Scan(context.Background(), paperPools(t), nil)
 	if err != nil {
 		t.Fatalf("delta: %v", err)
 	}
@@ -171,7 +163,7 @@ func TestDegradedPricesMarkReport(t *testing.T) {
 
 // Fresh prices leave Degraded false — the common case stays clean.
 func TestFreshPricesNotDegraded(t *testing.T) {
-	rep, err := Run(context.Background(), paperPools(t), paperPrices(), Config{})
+	rep, err := New(Config{}, paperPrices()).Full(context.Background(), paperPools(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 )
 
 // countingConvex wraps ConvexStrategy and counts cold vs warm optimize
-// calls. The counters live behind pointers so the value's %#v rendering
-// (the delta baseline's strategy key) is stable across scans.
+// calls. The counters live behind pointers so copies of the value share
+// them.
 type countingConvex struct {
 	inner      strategy.ConvexStrategy
 	cold, warm *atomic.Int64
@@ -86,23 +86,19 @@ func TestRunDeltaConvexWarmStartEquivalence(t *testing.T) {
 	} {
 		counting := newCountingConvex()
 		cfg.Strategy = counting
-		st := &DeltaState{}
+		e := New(cfg, src)
 		state := pools
-		if _, err := RunDelta(ctx, state, nil, src, cfg, st); err != nil { // capture
+		if _, err := e.Scan(ctx, state, nil); err != nil { // capture
 			t.Fatal(err)
 		}
 		coldAfterCapture := counting.cold.Load()
 		for round := 0; round < 4; round++ {
 			state = perturb(t, rng, state, 1+rng.Intn(8))
-			delta, err := RunDelta(ctx, state, nil, src, cfg, st)
+			delta, err := e.Scan(ctx, state, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := Run(ctx, rebuild(t, state), src, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireReportWithinTol(t, delta, full, 1e-6)
+			requireReportWithinTol(t, delta, fullReport(t, state, src, cfg), 1e-6)
 			if delta.LoopsReused == 0 {
 				t.Errorf("shards=%d round %d: delta path never reused a loop", cfg.Shards, round)
 			}
@@ -124,11 +120,10 @@ func TestRunDeltaConvexPriceMoveWarmStarts(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	ctx := context.Background()
 	counting := newCountingConvex()
-	cfg := Config{Strategy: counting, Shards: 2, Parallelism: 1}
-	st := &DeltaState{}
-
 	src := cex.NewStatic(prices)
-	rep, err := RunDelta(ctx, pools, nil, src, cfg, st)
+	e := New(Config{Strategy: counting, Shards: 2, Parallelism: 1}, src)
+
+	rep, err := e.Scan(ctx, pools, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +131,9 @@ func TestRunDeltaConvexPriceMoveWarmStarts(t *testing.T) {
 		t.Fatal("no loops detected")
 	}
 	tok := rep.Results[0].Loop.Token(0)
-	moved := make(map[string]float64, len(prices))
-	for k, v := range prices {
-		moved[k] = v
-	}
-	moved[tok] *= 1.02
+	src.Set(tok, prices[tok]*1.02)
 	before := counting.warm.Load()
-	rep2, err := RunDelta(ctx, rebuild(t, pools), nil, cex.NewStatic(moved), cfg, st)
+	rep2, err := e.Scan(ctx, rebuild(t, pools), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,14 +156,13 @@ func TestRunDeltaConvexAllocBudget(t *testing.T) {
 
 	measure := func(opts strategy.ConvexOptions) (clean, dirty, reopt float64) {
 		// Metrics on: the convex budget is measured instrumented too.
-		cfg := Config{Strategy: strategy.ConvexStrategy{Options: opts}, Parallelism: 1, Shards: 4, Metrics: NewMetrics()}
-		st := &DeltaState{}
+		e := New(Config{Strategy: strategy.ConvexStrategy{Options: opts}, Parallelism: 1, Shards: 4, Metrics: NewMetrics()}, src)
 		state := rebuild(t, pools)
-		if _, err := RunDelta(ctx, state, nil, src, cfg, st); err != nil {
+		if _, err := e.Scan(ctx, state, nil); err != nil {
 			t.Fatal(err)
 		}
 		clean = testing.AllocsPerRun(20, func() {
-			if _, err := RunDelta(ctx, state, nil, src, cfg, st); err != nil {
+			if _, err := e.Scan(ctx, state, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -180,7 +170,7 @@ func TestRunDeltaConvexAllocBudget(t *testing.T) {
 		var reoptTotal int
 		dirty = testing.AllocsPerRun(20, func() {
 			state = perturb(t, rng, state, 1)
-			rep, err := RunDelta(ctx, state, nil, src, cfg, st)
+			rep, err := e.Scan(ctx, state, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,6 @@
 // Delta scanning: the block-after-block fast path. Between consecutive
 // blocks only a handful of pools actually trade, yet a full scan
-// re-optimizes every detected loop. RunDelta re-runs Strategy.Optimize
+// re-optimizes every detected loop. Engine.Scan re-runs Strategy.Optimize
 // only for loops touching a *dirty* pool (reserves moved) or a moved CEX
 // price, and merges everything else from the previous scan's results —
 // producing a report identical to a full scan over the same state.
@@ -28,24 +28,22 @@
 // compares pool metadata field-by-field instead of hashing a
 // fingerprint, the graph is rebound to fresh reserves instead of
 // rebuilt, and every per-scan slice and map lives in a reusable scratch
-// arena carried by the DeltaState, so a steady-state delta scan touches
-// the allocator a fixed handful of times regardless of market size.
+// arena carried by the Engine, so a steady-state delta scan touches the
+// allocator a fixed handful of times regardless of market size.
 //
 // The dirty set is computed by diffing reserves against the previous
 // scan's (authoritative, O(pools)), optionally widened by a caller-
 // provided hint such as feed.Update.ChangedPools; prices are re-fetched
 // every scan and diffed the same way, so a moved CEX price re-optimizes
-// exactly the loops it touches. Whenever the previous state cannot be
-// reused — first scan, topology changed, different enumeration bounds or
-// shard count, changed strategy — RunDelta transparently falls back to a
-// full scan and captures fresh state.
+// exactly the loops it touches. The strategy, loop bounds, and shard
+// count are fixed when the Engine is built, so only two things can leave
+// a scan without a usable baseline — the first scan, and a changed
+// topology — and Engine.Scan then transparently runs a full pass and
+// captures fresh state.
 package scan
 
 import (
 	"context"
-	"reflect"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -54,28 +52,127 @@ import (
 	"arbloop/internal/strategy"
 )
 
-// DeltaState carries one scanner's memory between delta scans: the
-// topology it scanned, the shard partition, the reserves and prices it
-// scanned at, and the per-shard captured outcomes. A zero DeltaState is
-// ready to use — the first scan through it is a full scan that populates
-// it. Safe for concurrent use: the mutex guards only the in-memory
-// baseline snapshot, the scratch-arena checkout, and commit — never the
-// price fetch or the optimization fan-out, so a slow scan (hung
-// PriceSource, heavy strategy) cannot stall other scans on the same
-// state. Concurrent scans each compute against the baseline they
+// FullReason says why a scan ran the full detect → optimize → assemble
+// pass instead of the delta path — the reason label of
+// arbloop_scans_total{kind="full"}.
+type FullReason int
+
+const (
+	// FullFirst: the engine had no baseline yet (its first capture).
+	FullFirst FullReason = iota
+	// FullTopology: the pool set's topology (pool IDs, token pairs,
+	// fees) no longer matches the baseline's, so Scan recaptured.
+	FullTopology
+	// FullOneshot: Engine.Full or Engine.Stream, which never read or
+	// write the baseline.
+	FullOneshot
+	numFullReasons
+)
+
+// fullReasonNames are the metric label values, indexed by FullReason.
+var fullReasonNames = [numFullReasons]string{"first", "topology", "oneshot"}
+
+// Engine is the scan engine: one value per scanner, built once by New,
+// with its strategy, loop bounds, and shard count fixed for life. It
+// runs every kind of scan over the pool sets handed to it:
+//
+//   - Scan is the per-block delta path. It re-optimizes only what moved
+//     since the previous Scan and captures a fresh baseline when there
+//     is none or the topology changed.
+//   - Full is a one-shot detect → optimize → assemble pass that neither
+//     reads nor writes the baseline — the independent reference every
+//     delta ≡ full property test compares Scan against.
+//   - Stream is Full's pass delivering per-loop results as they finish.
+//
+// Safe for concurrent use. The mutex guards only the in-memory baseline
+// snapshot, the scratch-arena checkout, staged warm hints, and commit —
+// never the price fetch or the optimization fan-out, so a slow scan
+// (hung PriceSource, heavy strategy) cannot stall other scans on the
+// same engine. Concurrent Scans each compute against the baseline they
 // snapshotted — any committed baseline is a self-consistent (reserves,
 // prices, shards) capture, so last-writer-wins is correct and the next
 // diff simply runs against whichever baseline landed.
-type DeltaState struct {
-	mu    sync.Mutex
-	valid bool
-	base  baseline
+type Engine struct {
+	cfg    Config
+	prices source.PriceSource
+	st     *engineState
+}
+
+// engineState is the mutable half of an Engine, shared with every view
+// derived from it (WithWorkers, WithMetrics).
+type engineState struct {
+	mu sync.Mutex
+	// base is the captured baseline; base.plan is nil before the first
+	// capture.
+	base baseline
 	// scr is the reusable scratch arena. At most one scan holds it at a
 	// time; a concurrent scan that finds it checked out allocates a
 	// fresh one (rare — the steady state is one scan per block).
 	scr *scratch
-	// lifetime counters (under mu).
-	fullScans, deltaScans, shardScans uint64
+	// hints are staged warm starts for the first full pass (see
+	// PrimeWarmStarts); hintsTaken closes staging once a pass took them.
+	hints      *WarmHints
+	hintsTaken bool
+	// lifetime counters: captures by reason (first, topology), delta
+	// scans, and shards rescanned by committed scans.
+	captures               [FullOneshot]uint64
+	deltaScans, shardScans uint64
+}
+
+// New builds an engine over a price source. cfg's defaults are resolved
+// here, once (see Config.Resolve), and fixed for the engine's lifetime.
+func New(cfg Config, prices source.PriceSource) *Engine {
+	return &Engine{cfg: cfg.Resolve(), prices: prices, st: &engineState{}}
+}
+
+// Config returns the engine's resolved configuration.
+func (e *Engine) Config() Config { return e.cfg }
+
+// WithWorkers returns a view of e that runs its parallel phases on pool
+// — how a long-lived consumer (Scanner.Watch, Bot.Run) lends the engine
+// a persistent goroutine pool for its lifetime. The view shares e's
+// baseline, warm hints, and counters.
+func (e *Engine) WithWorkers(pool *Workers) *Engine {
+	v := *e
+	v.cfg.Workers = pool
+	return &v
+}
+
+// WithMetrics returns a view of e that reports to m (nil disables
+// instrumentation), sharing e's baseline, warm hints, and counters — so
+// an overhead measurement can toggle telemetry over one baseline.
+func (e *Engine) WithMetrics(m *Metrics) *Engine {
+	v := *e
+	v.cfg.Metrics = m
+	return &v
+}
+
+// PrimeWarmStarts stages recovered warm starts (token cycles + per-hop
+// inputs, e.g. from the durable opportunity log's tail) for the engine's
+// first full pass. They are consumed once, by that pass, and only when
+// the strategy implements strategy.WarmStarter; calls made after a full
+// pass has run are ignored.
+func (e *Engine) PrimeWarmStarts(hints []WarmHint) {
+	wh := NewWarmHints(hints)
+	e.st.mu.Lock()
+	defer e.st.mu.Unlock()
+	if wh != nil && !e.st.hintsTaken {
+		e.st.hints = wh
+	}
+}
+
+// takeHints closes warm-start staging and matches the staged hints
+// against a full pass's loops: the prev-result slice for optimizeInto,
+// nil when nothing is staged or the strategy cannot warm-start.
+func (e *Engine) takeHints(loops []*strategy.Loop) []*strategy.Result {
+	e.st.mu.Lock()
+	wh := e.st.hints
+	e.st.hints, e.st.hintsTaken = nil, true
+	e.st.mu.Unlock()
+	if _, ok := e.cfg.Strategy.(strategy.WarmStarter); !ok {
+		return nil
+	}
+	return wh.take(loops)
 }
 
 // poolMeta is the topology identity of one canonical pool — everything
@@ -86,17 +183,6 @@ type poolMeta struct {
 	fee                float64
 }
 
-// scanBounds are the Config fields that shape a captured baseline beyond
-// the strategy: results captured under one set must never merge into a
-// scan running another.
-type scanBounds struct {
-	minLen, maxLen, maxCycles, shards int
-}
-
-func boundsOf(cfg Config) scanBounds {
-	return scanBounds{minLen: cfg.MinLen, maxLen: cfg.MaxLen, maxCycles: cfg.MaxCycles, shards: cfg.Shards}
-}
-
 // baseline is one captured scan, immutable once committed: every field
 // is replaced wholesale by commit, never mutated in place, so readers
 // holding a snapshot need no lock. Shard baselines are shared across
@@ -104,17 +190,6 @@ func boundsOf(cfg Config) scanBounds {
 type baseline struct {
 	top  *topology
 	plan *shardPlan
-	// strat and stratKey identify the strategy the results were
-	// optimized with: strat for the fast identity compare (the Scanner
-	// passes the same interface value every block), stratKey — the
-	// recursive deterministic rendering — for callers constructing a
-	// fresh strategy object per scan. stratKeyOK records whether the
-	// strategy was keyable at capture; when false only the identity
-	// compare can match.
-	strat      strategy.Strategy
-	stratKey   string
-	stratKeyOK bool
-	bounds     scanBounds
 	// meta is the canonical pool set's topology identity at capture.
 	meta []poolMeta
 	// reserves[i] holds {Reserve0, Reserve1} of canonical pool i at the
@@ -126,15 +201,6 @@ type baseline struct {
 	shards []*shardBase
 }
 
-// snapshot returns the current baseline (under mu) without judging
-// usability — the caller checks topology, strategy, and bounds against
-// its own scan inputs.
-func (st *DeltaState) snapshot() (baseline, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.base, st.valid
-}
-
 // deltaEntry is one cycle's captured outcome (meaningful only when the
 // cycle's orientation is not orientNone).
 type deltaEntry struct {
@@ -143,11 +209,14 @@ type deltaEntry struct {
 	err    error
 }
 
-// DeltaStats counts how RunDelta resolved its calls: on the fast path or
-// through the full-scan fallback, and how much shard work the fast path
-// did.
+// DeltaStats counts how Engine.Scan resolved its calls: on the fast
+// path or through a capture, and how much shard work the fast path did.
+// One-shot passes (Full, Stream) leave it unchanged.
 type DeltaStats struct {
-	FullScans, DeltaScans uint64
+	// FullScans counts captures; FullFirst and FullTopology split it by
+	// reason (see FullReason).
+	FullScans, DeltaScans   uint64
+	FullFirst, FullTopology uint64
 	// ShardsScanned is the cumulative number of shards rescanned by
 	// committed scans. Captures contribute every shard, delta scans only
 	// the dirty ones, so a low ShardsScanned relative to Shards×(FullScans
@@ -158,31 +227,46 @@ type DeltaStats struct {
 	Shards int
 }
 
-// bump records one resolution. Takes the lock itself.
-func (st *DeltaState) bump(full bool) {
+// Stats returns the engine's lifetime delta-path counters.
+func (e *Engine) Stats() DeltaStats {
+	st := e.st
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if full {
-		st.fullScans++
-	} else {
-		st.deltaScans++
+	s := DeltaStats{
+		FullScans:     st.captures[FullFirst] + st.captures[FullTopology],
+		DeltaScans:    st.deltaScans,
+		FullFirst:     st.captures[FullFirst],
+		FullTopology:  st.captures[FullTopology],
+		ShardsScanned: st.shardScans,
 	}
-}
-
-// Stats returns the state's lifetime counters.
-func (st *DeltaState) Stats() DeltaStats {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	s := DeltaStats{FullScans: st.fullScans, DeltaScans: st.deltaScans, ShardsScanned: st.shardScans}
-	if st.valid && st.base.plan != nil {
+	if st.base.plan != nil {
 		s.Shards = st.base.plan.n
 	}
 	return s
 }
 
+// resolve snapshots the baseline for one Scan of canonical pools and
+// counts how the scan resolves: ok=false means the baseline cannot
+// serve it and reason says why a capture must run instead.
+func (st *engineState) resolve(pools []*amm.Pool) (base baseline, reason FullReason, ok bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	switch {
+	case st.base.plan == nil:
+		reason = FullFirst
+	case !st.base.usable(pools):
+		reason = FullTopology
+	default:
+		st.deltaScans++
+		return st.base, 0, true
+	}
+	st.captures[reason]++
+	return baseline{}, reason, false
+}
+
 // checkoutScratch hands the reusable arena to one scan (a fresh one when
 // another scan holds it); putScratch returns it.
-func (st *DeltaState) checkoutScratch() *scratch {
+func (st *engineState) checkoutScratch() *scratch {
 	st.mu.Lock()
 	scr := st.scr
 	st.scr = nil
@@ -193,158 +277,18 @@ func (st *DeltaState) checkoutScratch() *scratch {
 	return scr
 }
 
-func (st *DeltaState) putScratch(scr *scratch) {
+func (st *engineState) putScratch(scr *scratch) {
 	st.mu.Lock()
 	st.scr = scr
 	st.mu.Unlock()
 }
 
-// maxKeyDepth bounds the recursive strategy-key renderer. Real
-// strategies are one or two levels of config structs; anything deeper
-// (or self-referential) is declared unkeyable rather than risking an
-// unbounded walk.
-const maxKeyDepth = 8
-
-// strategyKey renders a strategy's identity deterministically: its name
-// plus a recursive rendering of its configuration value that follows
-// pointers at *every* level, so two separately allocated strategies
-// with equal parameters always produce equal keys. The predecessor of
-// this function formatted the value with %#v after dereferencing only
-// the top level — a strategy with a *nested* pointer field still
-// rendered that field as an address, and a caller constructing the
-// strategy fresh each block silently forced a full scan every block
-// (the PR-4 deltaKey bug, one level down; arblint's pointerfmt analyzer
-// now rejects the old shape outright).
-//
-// ok=false means the strategy is not deterministically keyable (it
-// carries a map, channel, function, or unsafe field, or nests deeper
-// than maxKeyDepth). Unkeyable strategies still ride the delta path
-// when the caller passes the same Strategy value every scan (interface
-// identity match in usable); a fresh-constructed unkeyable strategy
-// falls back to full scans, which is the safe direction.
-func strategyKey(s strategy.Strategy) (key string, ok bool) {
-	var b strings.Builder
-	b.WriteString(s.Name())
-	b.WriteByte('|')
-	if !appendKeyValue(&b, reflect.ValueOf(s), 0) {
-		return "", false
-	}
-	return b.String(), true
-}
-
-// appendKeyValue renders v into b, returning false when v (or anything
-// it reaches) has no deterministic rendering. Pointers and interfaces
-// are followed, never printed: no machine address can reach the key.
-func appendKeyValue(b *strings.Builder, v reflect.Value, depth int) bool {
-	if depth > maxKeyDepth {
-		return false
-	}
-	if !v.IsValid() {
-		b.WriteString("nil")
-		return true
-	}
-	switch v.Kind() {
-	case reflect.Pointer:
-		if v.IsNil() {
-			b.WriteString("nil")
-			return true
-		}
-		// Transparent dereference: a strategy held by pointer and the
-		// same strategy held by value are the same configuration.
-		return appendKeyValue(b, v.Elem(), depth+1)
-	case reflect.Interface:
-		if v.IsNil() {
-			b.WriteString("nil")
-			return true
-		}
-		// The dynamic type is part of the identity (two strategies may
-		// hold different implementations with equal field sets).
-		b.WriteString(v.Elem().Type().String())
-		b.WriteByte(':')
-		return appendKeyValue(b, v.Elem(), depth+1)
-	case reflect.Struct:
-		t := v.Type()
-		b.WriteString(t.String())
-		b.WriteByte('{')
-		for i := 0; i < t.NumField(); i++ {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(t.Field(i).Name)
-			b.WriteByte(':')
-			if !appendKeyValue(b, v.Field(i), depth+1) {
-				return false
-			}
-		}
-		b.WriteByte('}')
-		return true
-	case reflect.Slice:
-		if v.IsNil() {
-			b.WriteString("nil")
-			return true
-		}
-		fallthrough
-	case reflect.Array:
-		b.WriteByte('[')
-		for i := 0; i < v.Len(); i++ {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			if !appendKeyValue(b, v.Index(i), depth+1) {
-				return false
-			}
-		}
-		b.WriteByte(']')
-		return true
-	case reflect.Bool:
-		b.WriteString(strconv.FormatBool(v.Bool()))
-		return true
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		b.WriteString(strconv.FormatInt(v.Int(), 10))
-		return true
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		b.WriteString(strconv.FormatUint(v.Uint(), 10))
-		return true
-	case reflect.Float32, reflect.Float64:
-		b.WriteString(strconv.FormatFloat(v.Float(), 'g', -1, 64))
-		return true
-	case reflect.String:
-		b.WriteString(strconv.Quote(v.String()))
-		return true
-	default:
-		// Map (nondeterministic iteration), chan, func, complex, unsafe:
-		// no deterministic identity.
-		return false
-	}
-}
-
-// comparableValue reports whether the dynamic type of s supports ==.
-func comparableValue(s any) bool {
-	t := reflect.TypeOf(s)
-	return t != nil && t.Comparable()
-}
-
 // usable reports whether the captured baseline can serve a delta scan of
-// the given canonical pools under cfg: same bounds and shard count, same
-// strategy, and an identical pool topology (metadata compared
-// field-by-field — the allocation-free equivalent of a fingerprint
-// match).
-func (b *baseline) usable(pools []*amm.Pool, cfg Config) bool {
-	if b.bounds != boundsOf(cfg) || len(pools) != len(b.meta) {
+// the given canonical pools: an identical pool topology, compared
+// field-by-field — the allocation-free equivalent of a fingerprint match.
+func (b *baseline) usable(pools []*amm.Pool) bool {
+	if len(pools) != len(b.meta) {
 		return false
-	}
-	same := false
-	if b.strat != nil && comparableValue(b.strat) && comparableValue(cfg.Strategy) {
-		same = b.strat == cfg.Strategy
-	}
-	if !same {
-		if !b.stratKeyOK {
-			return false
-		}
-		key, ok := strategyKey(cfg.Strategy)
-		if !ok || key != b.stratKey {
-			return false
-		}
 	}
 	for i, p := range pools {
 		m := &b.meta[i]
@@ -430,10 +374,10 @@ func (s *scratch) reset(nPools, nNodes, nCycles, nShards int) {
 	s.symbols = s.symbols[:0]
 }
 
-// RunDelta scans the pool set, re-optimizing only the loops affected by
-// reserve or price changes since the previous scan through st and merging
-// the rest from the captured results. The report is identical — results,
-// ordering, counters — to a full Run over the same pools and prices,
+// Scan scans the pool set on the delta path, re-optimizing only the
+// loops affected by reserve or price changes since the previous Scan and
+// merging the rest from the captured results. The report is identical —
+// results, ordering, counters — to Full over the same pools and prices,
 // except that TopologyCacheHit reflects the delta path and
 // LoopsReoptimized/LoopsReused/ShardsScanned expose the work split.
 //
@@ -442,33 +386,27 @@ func (s *scratch) reset(nPools, nNodes, nCycles, nShards int) {
 // never trusted to narrow it, so a stale or incomplete hint — coalesced
 // feed updates, a skipped version — cannot produce a wrong report.
 //
-// RunDelta falls back to a full scan (capturing fresh state) whenever st
-// has no usable baseline: the first scan, a changed topology, changed
-// enumeration bounds or shard count, or a changed strategy. Callers that
-// scan block after block pass a Config.Resolve'd config, so the default
-// shard count is fixed once rather than re-derived from GOMAXPROCS.
+// Scan captures a fresh baseline with a full pass whenever it has no
+// usable one: the first scan, or a changed topology (see FullReason).
 //
-// RunDelta is the steady-state per-block path, pinned to a ~7-alloc
-// budget (TestDeltaScanAllocBudget, TestTelemetryScanAllocs). Every
+// Scan is the steady-state per-block path, pinned to a 7-alloc budget
+// (TestRunDeltaSteadyStateAllocBudget, TestTelemetryScanAllocs). Every
 // deliberate allocation below carries an //arblint:ignore with its
 // reason; anything new must either ride the scratch arena or justify
 // itself the same way.
 //
 //arblint:hotpath
-func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices source.PriceSource, cfg Config, st *DeltaState) (Report, error) {
-	cfg = cfg.Resolve()
+func (e *Engine) Scan(ctx context.Context, pools []*amm.Pool, hint []string) (Report, error) {
 	pools = Canonicalize(pools)
 	if len(pools) == 0 {
 		return Report{}, errNoPools
 	}
 
-	base, ok := st.snapshot()
-	if !ok || !base.usable(pools, cfg) {
-		st.bump(true)
-		return runCapture(ctx, pools, prices, cfg, st)
+	base, reason, ok := e.st.resolve(pools)
+	if !ok {
+		return e.fullPass(ctx, pools, reason, nil)
 	}
-	st.bump(false)
-	m := cfg.Metrics
+	m := e.cfg.Metrics
 	var start, t time.Time
 	timed := false
 	if m != nil {
@@ -486,8 +424,8 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 		return Report{}, err
 	}
 
-	scr := st.checkoutScratch()
-	defer st.putScratch(scr)
+	scr := e.st.checkoutScratch()
+	defer e.st.putScratch(scr)
 	scr.reset(len(pools), g.NumNodes(), len(top.cycles), plan.n)
 
 	// Dirty pools: the reserve diff against the captured baseline is
@@ -538,7 +476,7 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 		scr.shardErrs = growSlice(scr.shardErrs, n)
 		clear(scr.shardErrs)
 		//arblint:ignore hotpath dirty-shard fan-out only: clean steady-state scans never reach this branch, and the capture is one closure per dirty scan
-		forEachIndex(ctx, cfg.Workers, cfg.Parallelism, n, func(k int) bool {
+		forEachIndex(ctx, e.cfg.Workers, e.cfg.Parallelism, n, func(k int) bool {
 			s := scr.dirtyShards[k]
 			sb := cloneShardBase(base.shards[s])
 			scr.newShard[s] = sb
@@ -634,7 +572,7 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 	// touching the token — cached Monetized values are stale for it —
 	// and wakes the loop's shard for the copy-on-write commit.
 	scr.symbols = appendSymbols(scr.symbols, g, scr.tokenSeen)
-	pm, degraded, err := fetchPriceSymbols(ctx, prices, scr.symbols, cfg.StageTimeout)
+	pm, degraded, err := fetchPriceSymbols(ctx, e.prices, scr.symbols, e.cfg.StageTimeout)
 	if err != nil {
 		return Report{}, err
 	}
@@ -687,7 +625,7 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 		e := sb.entries[plan.localOf[ci]]
 		scr.all[li] = Result{Index: li, Loop: e.loop, Result: e.result, Err: e.err}
 	}
-	optimizeInto(ctx, scr.loops, pm, scr.jobs, scr.prevRes, scr.all, cfg)
+	optimizeInto(ctx, scr.loops, pm, scr.jobs, scr.prevRes, scr.all, e.cfg, nil)
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
@@ -718,7 +656,7 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 	// scratch arena carries it across blocks instead of the heap.
 	scr.det = detection{graph: g, top: top, loops: scr.loops, prices: pm, cacheHit: true, degraded: degraded}
 	scr.rank = growSlice(scr.rank, len(scr.all))
-	rep, err := assembleReport(&scr.det, cfg, scr.all, len(scr.jobs), len(scr.loops)-len(scr.jobs), scr.rank)
+	rep, err := assembleReport(&scr.det, e.cfg, scr.all, len(scr.jobs), len(scr.loops)-len(scr.jobs), scr.rank)
 	if err != nil {
 		return Report{}, err
 	}
@@ -748,7 +686,7 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 		next.reserves = reserves
 		next.prices = pm
 		next.shards = shards
-		st.commitBase(next, shardsScanned)
+		e.st.commitBase(next, shardsScanned)
 	}
 	if timed {
 		now := time.Now()
@@ -758,25 +696,30 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 	return rep, nil
 }
 
-// runCapture is the full-scan fallback: one complete detection +
-// optimization pass that also captures per-shard state for the next
-// delta scan. pools must be canonical.
-func runCapture(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, cfg Config, st *DeltaState) (Report, error) {
-	m := cfg.Metrics
+// fullPass is the one full-scan pipeline — detect, optimize every loop,
+// assemble the report — behind Full, Stream, and every capture; a pass
+// for any reason but FullOneshot also commits a fresh baseline (see
+// commitCapture). pools must be canonical. Staged warm hints
+// (PrimeWarmStarts) feed the first pass as previous results. emit, when
+// non-nil, receives each result as its worker finishes it (Stream); such
+// a pass stops before assembly.
+func (e *Engine) fullPass(ctx context.Context, pools []*amm.Pool, reason FullReason, emit chan<- Result) (Report, error) {
+	m := e.cfg.Metrics
 	var start, t time.Time
 	if m != nil {
 		start = time.Now()
-		m.FullScans.Inc()
+		m.FullScans[reason].Inc()
 	}
-	d, err := detect(ctx, pools, prices, cfg)
+	d, err := detect(ctx, pools, e.prices, e.cfg)
 	if err != nil {
 		return Report{}, err
 	}
 	if m != nil {
 		t = time.Now()
 	}
-	all := collectAll(ctx, d, cfg)
-	if err := ctx.Err(); err != nil {
+	all := make([]Result, len(d.loops))
+	optimizeInto(ctx, d.loops, d.prices, allJobs(len(d.loops)), e.takeHints(d.loops), all, e.cfg, emit)
+	if err := ctx.Err(); err != nil || emit != nil {
 		return Report{}, err
 	}
 	if m != nil {
@@ -785,12 +728,56 @@ func runCapture(ctx context.Context, pools []*amm.Pool, prices source.PriceSourc
 		m.LoopsReoptimized.Add(uint64(len(d.loops)))
 		t = now
 	}
-	rep, err := assembleReport(d, cfg, all, len(d.loops), 0, nil)
+	rep, err := assembleReport(d, e.cfg, all, len(d.loops), 0, nil)
 	if err != nil {
 		return Report{}, err
 	}
+	if reason != FullOneshot {
+		rep.ShardsScanned = e.commitCapture(pools, d, all)
+	}
+	if m != nil {
+		now := time.Now()
+		if reason != FullOneshot {
+			m.StageCommit.Observe(now.Sub(t))
+		}
+		m.ScanTotal.Observe(now.Sub(start))
+	}
+	return rep, nil
+}
 
-	plan := buildShardPlan(d.top, cfg.Shards)
+// Full scans the pool set once and returns the ranked batch report. It
+// neither reads nor writes the delta baseline.
+func (e *Engine) Full(ctx context.Context, pools []*amm.Pool) (Report, error) {
+	return e.fullPass(ctx, Canonicalize(pools), FullOneshot, nil)
+}
+
+// Stream scans the pool set and delivers per-loop results as they are
+// produced, in completion order (use Result.Index to re-sequence);
+// successes below MinProfitUSD are dropped and TopK does not apply. The
+// channel closes when the scan finishes or the context is cancelled. A
+// detection-stage failure arrives as a single Result with Err set and a
+// nil Loop. Like Full, Stream leaves the delta baseline alone.
+func (e *Engine) Stream(ctx context.Context, pools []*amm.Pool) <-chan Result {
+	out := make(chan Result)
+	go func() {
+		defer close(out)
+		_, err := e.fullPass(ctx, Canonicalize(pools), FullOneshot, out)
+		if err != nil && ctx.Err() == nil {
+			select {
+			case out <- Result{Index: -1, Err: err}:
+			case <-ctx.Done():
+			}
+		}
+	}()
+	return out
+}
+
+// commitCapture turns a full pass over canonical pools into the
+// baseline the next delta scan diffs against — the shard partition, the
+// pool topology and reserves, the prices, and the per-shard outcomes —
+// and returns the shard count.
+func (e *Engine) commitCapture(pools []*amm.Pool, d *detection, all []Result) int {
+	plan := buildShardPlan(d.top, e.cfg.Shards)
 	loopCycle := make([]int, len(d.loops))
 	for ci, li := range d.loopOf {
 		if li >= 0 {
@@ -798,44 +785,32 @@ func runCapture(ctx context.Context, pools []*amm.Pool, prices source.PriceSourc
 		}
 	}
 	meta := make([]poolMeta, len(pools))
-	for i, p := range pools {
-		meta[i] = poolMeta{id: p.ID, token0: p.Token0, token1: p.Token1, fee: p.Fee}
-	}
 	reserves := make([][2]float64, len(pools))
 	for i, p := range pools {
+		meta[i] = poolMeta{id: p.ID, token0: p.Token0, token1: p.Token1, fee: p.Fee}
 		reserves[i] = [2]float64{p.Reserve0, p.Reserve1}
 	}
-	key, keyOK := strategyKey(cfg.Strategy)
-	st.commitBase(baseline{
-		top:        d.top,
-		plan:       plan,
-		strat:      cfg.Strategy,
-		stratKey:   key,
-		stratKeyOK: keyOK,
-		bounds:     boundsOf(cfg),
-		meta:       meta,
-		reserves:   reserves,
-		prices:     d.prices,
-		shards:     splitCapture(plan, d.orient, loopCycle, all),
+	e.st.commitBase(baseline{
+		top:      d.top,
+		plan:     plan,
+		meta:     meta,
+		reserves: reserves,
+		prices:   d.prices,
+		shards:   splitCapture(plan, d.orient, loopCycle, all),
 	}, plan.n)
-	rep.ShardsScanned = plan.n
-	if m != nil {
+	if m := e.cfg.Metrics; m != nil {
 		m.capture(pools, plan.n)
-		now := time.Now()
-		m.StageCommit.Observe(now.Sub(t))
-		m.ScanTotal.Observe(now.Sub(start))
 	}
-	return rep, nil
+	return plan.n
 }
 
 // commitBase replaces the captured baseline with a freshly built one
 // (dirty shard baselines are fresh copies, clean ones shared — either
 // way nothing a concurrent snapshot holds is mutated). Takes the lock
 // itself.
-func (st *DeltaState) commitBase(b baseline, shardsScanned int) {
+func (st *engineState) commitBase(b baseline, shardsScanned int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.valid = true
 	st.base = b
 	st.shardScans += uint64(shardsScanned)
 }

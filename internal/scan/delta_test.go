@@ -3,6 +3,7 @@ package scan
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"arbloop/internal/amm"
@@ -10,7 +11,7 @@ import (
 	"arbloop/internal/cycles"
 	"arbloop/internal/market"
 	"arbloop/internal/source"
-	"arbloop/internal/strategy"
+	"arbloop/internal/telemetry"
 )
 
 // deltaMarket builds the §VI synthetic market as mutable pool values plus
@@ -99,26 +100,32 @@ func requireSameReport(t *testing.T, delta, full Report) {
 	}
 }
 
+// fullReport is the reference every delta ≡ full test compares against:
+// a fresh Engine's one-shot Full over fresh copies of the same pools.
+func fullReport(t *testing.T, pools []*amm.Pool, prices source.PriceSource, cfg Config) Report {
+	t.Helper()
+	rep, err := New(cfg, prices).Full(context.Background(), rebuild(t, pools))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestRunDeltaFirstScanIsFullCapture(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
-	ctx := context.Background()
-	st := &DeltaState{}
+	e := New(Config{}, src)
 
-	delta, err := RunDelta(ctx, pools, nil, src, Config{}, st)
+	delta, err := e.Scan(context.Background(), pools, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(ctx, rebuild(t, pools), src, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameReport(t, delta, full)
+	requireSameReport(t, delta, fullReport(t, pools, src, Config{}))
 	if delta.LoopsReoptimized != delta.LoopsDetected || delta.LoopsReused != 0 {
 		t.Errorf("first delta scan reoptimized %d / reused %d, want full capture",
 			delta.LoopsReoptimized, delta.LoopsReused)
 	}
-	if s := st.Stats(); s.FullScans != 1 || s.DeltaScans != 0 {
+	if s := e.Stats(); s.FullScans != 1 || s.FullFirst != 1 || s.DeltaScans != 0 {
 		t.Errorf("stats = %+v, want one full scan", s)
 	}
 }
@@ -138,8 +145,8 @@ func TestRunDeltaEquivalenceRandomDirty(t *testing.T) {
 		{MinProfitUSD: 1, TopK: 10},
 		{MinLen: 3, MaxLen: 4},
 	} {
-		st := &DeltaState{}
-		if _, err := RunDelta(ctx, pools, nil, src, cfg, st); err != nil {
+		e := New(cfg, src)
+		if _, err := e.Scan(ctx, pools, nil); err != nil {
 			t.Fatal(err)
 		}
 		state := pools
@@ -148,15 +155,11 @@ func TestRunDeltaEquivalenceRandomDirty(t *testing.T) {
 			dirtyN := 1 + rng.Intn(len(state)/10)
 			state = perturb(t, rng, state, dirtyN)
 
-			delta, err := RunDelta(ctx, state, nil, src, cfg, st)
+			delta, err := e.Scan(ctx, state, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := Run(ctx, rebuild(t, state), src, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameReport(t, delta, full)
+			requireSameReport(t, delta, fullReport(t, state, src, cfg))
 			if delta.LoopsReoptimized+delta.LoopsReused != delta.LoopsDetected {
 				t.Fatalf("counters do not partition: %d + %d != %d",
 					delta.LoopsReoptimized, delta.LoopsReused, delta.LoopsDetected)
@@ -168,7 +171,7 @@ func TestRunDeltaEquivalenceRandomDirty(t *testing.T) {
 		if !sawPartial {
 			t.Errorf("cfg %+v: no round reused any loop — delta path never engaged", cfg)
 		}
-		if s := st.Stats(); s.DeltaScans != 8 {
+		if s := e.Stats(); s.DeltaScans != 8 {
 			t.Errorf("cfg %+v: stats = %+v, want 8 delta scans", cfg, s)
 		}
 	}
@@ -182,14 +185,14 @@ func TestRunDeltaSmallDirtySetReoptimizesFew(t *testing.T) {
 	src := cex.NewStatic(prices)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
-	st := &DeltaState{}
-	if _, err := RunDelta(ctx, pools, nil, src, Config{}, st); err != nil {
+	e := New(Config{}, src)
+	if _, err := e.Scan(ctx, pools, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	dirtyN := len(pools) / 10
 	state := perturb(t, rng, pools, dirtyN)
-	delta, err := RunDelta(ctx, state, nil, src, Config{}, st)
+	delta, err := e.Scan(ctx, state, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,12 +205,8 @@ func TestRunDeltaSmallDirtySetReoptimizesFew(t *testing.T) {
 			dirty[p.ID] = true
 		}
 	}
-	full, err := Run(ctx, rebuild(t, state), src, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	affected := 0
-	for _, r := range full.Results {
+	for _, r := range fullReport(t, state, src, Config{}).Results {
 		touched := false
 		for _, h := range r.Loop.Hops() {
 			if dirty[h.Pool.ID] {
@@ -231,27 +230,20 @@ func TestRunDeltaSmallDirtySetReoptimizesFew(t *testing.T) {
 func TestRunDeltaPriceMoveReoptimizesTouchedLoops(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	ctx := context.Background()
-	st := &DeltaState{}
-	if _, err := RunDelta(ctx, pools, nil, cex.NewStatic(prices), Config{}, st); err != nil {
+	src := cex.NewStatic(prices)
+	e := New(Config{}, src)
+	if _, err := e.Scan(ctx, pools, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	// Same reserves, one moved CEX price: only loops holding the token
 	// re-optimize, and the report matches a full scan at the new prices.
-	moved := make(map[string]float64, len(prices))
-	for k, v := range prices {
-		moved[k] = v
-	}
-	moved["WETH"] *= 1.05
-	delta, err := RunDelta(ctx, rebuild(t, pools), nil, cex.NewStatic(moved), Config{}, st)
+	src.Set("WETH", prices["WETH"]*1.05)
+	delta, err := e.Scan(ctx, rebuild(t, pools), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(ctx, rebuild(t, pools), cex.NewStatic(moved), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameReport(t, delta, full)
+	requireSameReport(t, delta, fullReport(t, pools, src, Config{}))
 	if delta.LoopsReoptimized == 0 {
 		t.Error("moved price re-optimized nothing")
 	}
@@ -264,29 +256,25 @@ func TestRunDeltaTopologyChangeFallsBack(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
 	ctx := context.Background()
-	st := &DeltaState{}
-	if _, err := RunDelta(ctx, pools, nil, src, Config{}, st); err != nil {
+	e := New(Config{}, src)
+	if _, err := e.Scan(ctx, pools, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	grown := append(rebuild(t, pools), amm.MustNewPool("zz-new", "WETH", "USDC", 500, 900_000, amm.DefaultFee))
-	delta, err := RunDelta(ctx, grown, nil, src, Config{}, st)
+	delta, err := e.Scan(ctx, grown, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(ctx, rebuild(t, grown), src, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameReport(t, delta, full)
-	if s := st.Stats(); s.FullScans != 2 {
+	requireSameReport(t, delta, fullReport(t, grown, src, Config{}))
+	if s := e.Stats(); s.FullScans != 2 || s.FullTopology != 1 {
 		t.Errorf("topology change did not fall back to a full scan: %+v", s)
 	}
 
 	// And the next reserve-only update delta-scans against the new topology.
 	rng := rand.New(rand.NewSource(11))
 	next := perturb(t, rng, grown, 3)
-	delta2, err := RunDelta(ctx, next, nil, src, Config{}, st)
+	delta2, err := e.Scan(ctx, next, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,9 +291,8 @@ func TestRunDeltaPermutedPoolsNoDirty(t *testing.T) {
 	src := cex.NewStatic(prices)
 	ctx := context.Background()
 	cache := NewCache(0)
-	cfg := Config{Cache: cache}
-	st := &DeltaState{}
-	first, err := RunDelta(ctx, pools, nil, src, cfg, st)
+	e := New(Config{Cache: cache}, src)
+	first, err := e.Scan(ctx, pools, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +301,7 @@ func TestRunDeltaPermutedPoolsNoDirty(t *testing.T) {
 	rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	second, err := RunDelta(ctx, shuffled, nil, src, cfg, st)
+	second, err := e.Scan(ctx, shuffled, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,10 +323,9 @@ func TestRunDeltaPermutedPoolsNoDirty(t *testing.T) {
 // guarantee (the PR 2 regression: permutations thrashed the cache).
 func TestRunPermutedPoolsCacheHit(t *testing.T) {
 	pools, prices := deltaMarket(t)
-	src := cex.NewStatic(prices)
 	ctx := context.Background()
-	cfg := Config{Cache: NewCache(0)}
-	first, err := Run(ctx, pools, src, cfg)
+	e := New(Config{Cache: NewCache(0)}, cex.NewStatic(prices))
+	first, err := e.Full(ctx, pools)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +334,7 @@ func TestRunPermutedPoolsCacheHit(t *testing.T) {
 	rand.New(rand.NewSource(9)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	second, err := Run(ctx, shuffled, src, cfg)
+	second, err := e.Full(ctx, shuffled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,80 +344,76 @@ func TestRunPermutedPoolsCacheHit(t *testing.T) {
 	requireSameReport(t, second, first)
 }
 
-// TestRunDeltaStrategyChangeFallsBack: a different strategy over the same
-// pools must never merge the previous strategy's cached results.
-func TestRunDeltaStrategyChangeFallsBack(t *testing.T) {
-	pools, prices := deltaMarket(t)
-	src := cex.NewStatic(prices)
-	ctx := context.Background()
-	st := &DeltaState{}
-	if _, err := RunDelta(ctx, pools, nil, src, Config{Strategy: strategy.MaxMaxStrategy{}}, st); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := RunDelta(ctx, rebuild(t, pools), nil, src, Config{Strategy: strategy.MaxPriceStrategy{}}, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Strategy != strategy.NameMaxPrice {
-		t.Errorf("report strategy = %q", rep.Strategy)
-	}
-	if rep.LoopsReused != 0 {
-		t.Errorf("strategy change reused %d of the other strategy's results", rep.LoopsReused)
-	}
-	for _, r := range rep.Results {
-		if r.Result.Strategy != strategy.NameMaxPrice {
-			t.Fatalf("result %d carries %q numbers under a %q scan", r.Index, r.Result.Strategy, strategy.NameMaxPrice)
-		}
-	}
-	if s := st.Stats(); s.FullScans != 2 {
-		t.Errorf("strategy change did not fall back to a full scan: %+v", s)
-	}
-}
-
-// TestRunDeltaStrategyParamsChangeFallsBack: two parameterizations of the
-// same-named strategy are different strategies to the baseline key.
-func TestRunDeltaStrategyParamsChangeFallsBack(t *testing.T) {
-	pools, prices := deltaMarket(t)
-	src := cex.NewStatic(prices)
-	ctx := context.Background()
-	st := &DeltaState{}
-	if _, err := RunDelta(ctx, pools, nil, src, Config{Strategy: strategy.TraditionalStrategy{}}, st); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := RunDelta(ctx, rebuild(t, pools), nil, src, Config{Strategy: strategy.TraditionalStrategy{Start: "WETH"}}, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.LoopsReused != 0 {
-		t.Errorf("changed Start parameter reused %d anchor-start results", rep.LoopsReused)
-	}
-	if s := st.Stats(); s.FullScans != 2 {
-		t.Errorf("parameter change did not fall back to a full scan: %+v", s)
-	}
-}
-
 func TestRunDeltaHintOnlyWidens(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
 	ctx := context.Background()
-	st := &DeltaState{}
-	if _, err := RunDelta(ctx, pools, nil, src, Config{}, st); err != nil {
+	e := New(Config{}, src)
+	if _, err := e.Scan(ctx, pools, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	// A hint naming a clean pool forces its loops to re-optimize (widening
 	// is allowed) but cannot change the report.
 	hint := []string{pools[0].ID, "no-such-pool"}
-	delta, err := RunDelta(ctx, rebuild(t, pools), hint, src, Config{}, st)
+	delta, err := e.Scan(ctx, rebuild(t, pools), hint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(ctx, rebuild(t, pools), src, Config{})
-	if err != nil {
+	requireSameReport(t, delta, fullReport(t, pools, src, Config{}))
+}
+
+// TestFullScanReasons drives each full-scan reason once — the first
+// capture, a topology recapture, and a one-shot Full — and checks the
+// reason-labelled counters, DeltaStats, and the exposition.
+func TestFullScanReasons(t *testing.T) {
+	pools, prices := deltaMarket(t)
+	ctx := context.Background()
+	m := NewMetrics()
+	e := New(Config{Metrics: m}, cex.NewStatic(prices))
+	if _, err := e.Scan(ctx, pools, nil); err != nil {
 		t.Fatal(err)
 	}
-	requireSameReport(t, delta, full)
+	grown := append(rebuild(t, pools), amm.MustNewPool("zz-new", "WETH", "USDC", 500, 900_000, amm.DefaultFee))
+	if _, err := e.Scan(ctx, grown, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Scan(ctx, rebuild(t, grown), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Full(ctx, grown); err != nil {
+		t.Fatal(err)
+	}
+
+	for r, want := range [numFullReasons]uint64{FullFirst: 1, FullTopology: 1, FullOneshot: 1} {
+		if got := m.FullScans[r].Load(); got != want {
+			t.Errorf("full scans reason=%s: %d, want %d", fullReasonNames[r], got, want)
+		}
+	}
+	if got := m.DeltaScans.Load(); got != 1 {
+		t.Errorf("delta scans = %d, want 1", got)
+	}
+	// DeltaStats counts captures only: the one-shot Full is not one.
+	if s := e.Stats(); s.FullScans != 2 || s.FullFirst != 1 || s.FullTopology != 1 || s.DeltaScans != 1 {
+		t.Errorf("stats = %+v, want 1 first + 1 topology capture, 1 delta scan", s)
+	}
+
+	reg := telemetry.NewRegistry()
+	m.Register(reg)
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`arbloop_scans_total{kind="full",reason="first"} 1`,
+		`arbloop_scans_total{kind="full",reason="topology"} 1`,
+		`arbloop_scans_total{kind="full",reason="oneshot"} 1`,
+		`arbloop_scans_total{kind="delta"} 1`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
 }
 
 // TestOrientCycleMatchesDirectedProducts: orienting by hop index off the

@@ -5,7 +5,9 @@
 // out over a bounded worker pool. Detection is sequential (it is a single
 // graph traversal); optimization is the hot loop the paper's §VII runtime
 // table measures, and parallelizes perfectly because loops are
-// independent.
+// independent. An Engine (see New) is the one entry point: its strategy,
+// loop bounds, and shard count are fixed when it is built, and it runs
+// every scan — one-shot, streamed, or delta.
 //
 // Detection itself is split in two phases. The *topology* phase — cycle
 // enumeration over the token graph — depends only on which pools exist,
@@ -22,8 +24,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"arbloop/internal/amm"
@@ -34,7 +34,7 @@ import (
 )
 
 // errNoPools is preallocated: it is returned from the hot per-block
-// path (RunDelta), which must not construct errors per call.
+// path (Engine.Scan), which must not construct errors per call.
 var errNoPools = errors.New("scan: no pools to scan")
 
 // ErrStrategyPanic wraps a panic recovered from a Strategy.Optimize (or
@@ -61,7 +61,7 @@ func LoopFromDirected(g *graph.Graph, d cycles.Directed) (*strategy.Loop, error)
 	return l, nil
 }
 
-// Config tunes one scan. The zero value scans length-3 loops with the
+// Config tunes an Engine. The zero value scans length-3 loops with the
 // MaxMax strategy at GOMAXPROCS parallelism and keeps every profitable
 // result.
 type Config struct {
@@ -94,12 +94,9 @@ type Config struct {
 	Shards int
 	// Workers, when non-nil, runs the scan's parallel phases on a
 	// persistent goroutine pool instead of spawning goroutines per scan —
-	// the block-driven serving configuration (Scanner.Watch, Bot.Run).
+	// the block-driven serving configuration (Scanner.Watch, Bot.Run;
+	// see Engine.WithWorkers).
 	Workers *Workers
-	// DisableDelta turns the public Scanner's delta path off (its Watch
-	// and ScanDelta fall back to full scans). The engine itself ignores
-	// it: Run is always a full scan and RunDelta is always delta-capable.
-	DisableDelta bool
 	// Metrics, when non-nil, receives per-stage latencies, scan/loop
 	// counters, per-pool dirtiness EMAs, and per-shard wake-up counts
 	// from every scan through this config (see Metrics). Nil disables
@@ -114,23 +111,15 @@ type Config struct {
 	// off the allocation-free fast path (context.WithTimeout allocates),
 	// so the 7-alloc delta budget is quoted with it off.
 	StageTimeout time.Duration
-	// WarmHints, when non-nil, stages recovered warm starts (token
-	// cycles + per-hop inputs, e.g. from the durable opportunity log's
-	// tail) for the first full scan after a restart. Consumed take-once
-	// by that scan, and only when Strategy implements
-	// strategy.WarmStarter; nil — the default — changes nothing.
-	WarmHints *WarmHints
 }
 
 // Resolve returns the config with every default filled in: loop
 // bounds, strategy, and the GOMAXPROCS-derived Parallelism and Shards.
-// A caller that keeps a DeltaState across scans resolves once, when it
-// builds the state, and passes the resolved config to every RunDelta:
-// the shard count is part of the delta baseline's identity, so a default
-// re-derived per scan would silently force a full capture whenever
-// GOMAXPROCS changes between blocks (an explicit runtime.GOMAXPROCS
-// call, testing.AllocsPerRun, or the runtime tracking a new cgroup CPU
-// limit).
+// New resolves once, when it builds the Engine: the shard count shapes
+// the delta baseline, so a default re-derived per scan would repartition
+// whenever GOMAXPROCS changes between blocks (an explicit
+// runtime.GOMAXPROCS call, testing.AllocsPerRun, or the runtime
+// tracking a new cgroup CPU limit).
 func (c Config) Resolve() Config {
 	if c.MinLen <= 0 {
 		c.MinLen = 3
@@ -186,15 +175,15 @@ type Report struct {
 	TopologyCacheHit bool
 	// LoopsReoptimized counts loops whose Strategy.Optimize actually ran
 	// this scan. A full scan re-optimizes every detected loop; a delta
-	// scan (RunDelta) only the loops touching a dirty pool or a moved
+	// scan (Engine.Scan) only the loops touching a dirty pool or a moved
 	// price.
 	LoopsReoptimized int
 	// LoopsReused counts loops merged from the previous scan's results
 	// without re-optimization (always 0 for a full scan).
 	LoopsReused int
 	// ShardsScanned counts the shards whose state was rescanned: every
-	// shard on a capture (full) pass through the delta engine, only the
-	// dirty ones on a delta scan, 0 for a plain unsharded Run.
+	// shard on a capture, only the dirty ones on a delta scan, 0 for a
+	// one-shot Engine.Full.
 	ShardsScanned int
 	// Degraded reports that the scan's prices came from a fallback (a
 	// circuit-broken source serving last-known-good data — see
@@ -208,8 +197,8 @@ type Report struct {
 	Results []Result
 }
 
-// detection is the sequential front half of a scan, shared by Run,
-// Stream, and the delta engine's full-capture fallback.
+// detection is the sequential front half of every full pass (see
+// Engine.fullPass).
 type detection struct {
 	graph    *graph.Graph
 	top      *topology
@@ -314,8 +303,8 @@ func appendSymbols(dst []string, g *graph.Graph, seen []bool) []string {
 // already enumerated a pool set with the same fingerprint and bounds —
 // and the cached graph skeleton is rebound to the fresh reserves instead
 // of rebuilt, so a warm scan never pays graph construction either.
-// pools must already be canonical (Run and Stream canonicalize at entry),
-// so cached pool and node indices line up across scans.
+// pools must already be canonical (every Engine entry point
+// canonicalizes), so cached pool and node indices line up across scans.
 func enumerateTopology(pools []*amm.Pool, cfg Config) (*graph.Graph, *topology, bool, error) {
 	var key string
 	if cfg.Cache != nil {
@@ -447,69 +436,23 @@ func fetchPriceSymbols(ctx context.Context, prices source.PriceSource, symbols [
 	return strategy.PriceMap(fetched), degraded, nil
 }
 
-// fanOut optimizes the loops named by jobs (indices into loops) over a
-// bounded worker pool, delivering one Result per job to emit (in
-// arbitrary order). Dispatch is chunked: workers pull job indices from a
-// shared atomic cursor instead of receiving one unbuffered-channel send
-// per loop, so per-loop dispatch costs one atomic add and the p=2
-// scaling cliff of the channel feeder is gone. It returns early when the
-// context is cancelled; unprocessed jobs are skipped.
-func fanOut(ctx context.Context, loops []*strategy.Loop, pm strategy.PriceMap, jobsList []int, cfg Config, emit func(Result) bool) {
-	if len(jobsList) == 0 {
-		return
-	}
-	// Never run more workers than jobs: the delta path's job list is
-	// routinely a handful of loops (or none) on the per-block hot path.
-	workers := cfg.Parallelism
-	if len(jobsList) < workers {
-		workers = len(jobsList)
-	}
-	if workers <= 1 {
-		for _, i := range jobsList {
-			if ctx.Err() != nil {
-				return
-			}
-			res, err := optimizeOne(ctx, cfg.Strategy, nil, loops[i], pm, nil, cfg.Metrics)
-			if !emit(Result{Index: i, Loop: loops[i], Result: res, Err: err}) {
-				return
-			}
-		}
-		return
-	}
-
-	var (
-		stopped atomic.Bool // a consumer rejected further results
-		emitMu  sync.Mutex
-	)
-	forEachIndex(ctx, cfg.Workers, workers, len(jobsList), func(k int) bool {
-		if stopped.Load() {
-			return false
-		}
-		i := jobsList[k]
-		res, err := optimizeOne(ctx, cfg.Strategy, nil, loops[i], pm, nil, cfg.Metrics)
-		r := Result{Index: i, Loop: loops[i], Result: res, Err: err}
-		emitMu.Lock()
-		ok := stopped.Load() || emit(r)
-		emitMu.Unlock()
-		if !ok {
-			stopped.Store(true)
-			return false
-		}
-		return true
-	})
-}
-
-// optimizeInto is the batch counterpart of fanOut: it optimizes the
-// loops named by jobs and writes each outcome to out[job] directly. Job
-// indices are distinct, so workers need no emit lock, and the
-// single-worker path runs inline — zero allocations per loop and zero
-// per scan. Unprocessed jobs are left zero when ctx is cancelled.
+// optimizeInto optimizes the loops named by jobs over a bounded worker
+// pool and writes each outcome to out[job] directly. Dispatch is
+// chunked: workers pull job indices from a shared atomic cursor (see
+// forEachIndex), so per-loop dispatch costs one atomic add. Job indices
+// are distinct, so workers need no lock, and the single-worker path
+// runs inline — zero allocations per loop and zero per scan.
+// Unprocessed jobs are left zero when ctx is cancelled.
 //
 // prev, when non-nil, carries each loop's previous captured result
 // (indexed like loops; nil entries mean no usable capture). Strategies
 // implementing strategy.WarmStarter re-optimize from it — the delta
 // path's cross-block warm start; other strategies ignore it.
-func optimizeInto(ctx context.Context, loops []*strategy.Loop, pm strategy.PriceMap, jobsList []int, prev []*strategy.Result, out []Result, cfg Config) {
+//
+// emit, when non-nil, also receives each finished result as its worker
+// completes it (see deliver) — Engine.Stream's per-loop delivery. The
+// batch paths pass nil.
+func optimizeInto(ctx context.Context, loops []*strategy.Loop, pm strategy.PriceMap, jobsList []int, prev []*strategy.Result, out []Result, cfg Config, emit chan<- Result) {
 	if len(jobsList) == 0 {
 		return
 	}
@@ -525,6 +468,9 @@ func optimizeInto(ctx context.Context, loops []*strategy.Loop, pm strategy.Price
 			}
 			res, err := optimizeOne(ctx, cfg.Strategy, warm, loops[i], pm, prevFor(prev, i), cfg.Metrics)
 			out[i] = Result{Index: i, Loop: loops[i], Result: res, Err: err}
+			if emit != nil && !deliver(ctx, emit, out[i], cfg.MinProfitUSD) {
+				return
+			}
 		}
 		return
 	}
@@ -532,8 +478,23 @@ func optimizeInto(ctx context.Context, loops []*strategy.Loop, pm strategy.Price
 		i := jobsList[k]
 		res, err := optimizeOne(ctx, cfg.Strategy, warm, loops[i], pm, prevFor(prev, i), cfg.Metrics)
 		out[i] = Result{Index: i, Loop: loops[i], Result: res, Err: err}
-		return true
+		return emit == nil || deliver(ctx, emit, out[i], cfg.MinProfitUSD)
 	})
+}
+
+// deliver sends one finished result to a stream consumer, dropping
+// successes below minProfit (failures always go through). It reports
+// false when ctx ended before the consumer took the result.
+func deliver(ctx context.Context, emit chan<- Result, r Result, minProfit float64) bool {
+	if r.Err == nil && r.Result.Monetized < minProfit {
+		return true
+	}
+	select {
+	case emit <- r:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
 
 // prevFor looks up a loop's previous result in a possibly-nil slice.
@@ -709,86 +670,4 @@ func siftWorst(h []int32, all []Result, i int) {
 		h[i], h[c] = h[c], h[i]
 		i = c
 	}
-}
-
-// Run scans the pool set once and returns the ranked batch report.
-func Run(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, cfg Config) (Report, error) {
-	cfg = cfg.Resolve()
-	m := cfg.Metrics
-	var start, t time.Time
-	if m != nil {
-		start = time.Now()
-		m.FullScans.Inc()
-	}
-	d, err := detect(ctx, Canonicalize(pools), prices, cfg)
-	if err != nil {
-		return Report{}, err
-	}
-	if m != nil {
-		t = time.Now()
-	}
-	all := collectAll(ctx, d, cfg)
-	if err := ctx.Err(); err != nil {
-		return Report{}, err
-	}
-	if m != nil {
-		m.StageOptimize.Observe(time.Since(t))
-		m.LoopsReoptimized.Add(uint64(len(d.loops)))
-	}
-	rep, err := assembleReport(d, cfg, all, len(d.loops), 0, nil)
-	if m != nil && err == nil {
-		m.ScanTotal.Observe(time.Since(start))
-	}
-	return rep, err
-}
-
-// collectAll runs the optimization fan-out over every detected loop and
-// returns the complete result set indexed by loop. Staged warm hints
-// (Config.WarmHints, a restart's recovered plans) feed the fan-out as
-// previous results when the strategy can warm-start; the set is
-// take-once, so only the first scan through a given hint set pays the
-// matching cost.
-func collectAll(ctx context.Context, d *detection, cfg Config) []Result {
-	all := make([]Result, len(d.loops))
-	var prev []*strategy.Result
-	if cfg.WarmHints != nil {
-		if _, ok := cfg.Strategy.(strategy.WarmStarter); ok {
-			prev = cfg.WarmHints.take(d.loops)
-		}
-	}
-	optimizeInto(ctx, d.loops, d.prices, allJobs(len(d.loops)), prev, all, cfg)
-	return all
-}
-
-// Stream scans the pool set and delivers per-loop results as they are
-// produced, in completion order (use Result.Index to re-sequence). The
-// channel closes when the scan finishes or the context is cancelled. A
-// detection-stage failure arrives as a single Result with Err set and a
-// nil Loop.
-func Stream(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, cfg Config) <-chan Result {
-	cfg = cfg.Resolve()
-	out := make(chan Result)
-	go func() {
-		defer close(out)
-		d, err := detect(ctx, Canonicalize(pools), prices, cfg)
-		if err != nil {
-			select {
-			case out <- Result{Index: -1, Err: err}:
-			case <-ctx.Done():
-			}
-			return
-		}
-		fanOut(ctx, d.loops, d.prices, allJobs(len(d.loops)), cfg, func(r Result) bool {
-			if r.Err == nil && r.Result.Monetized < cfg.MinProfitUSD {
-				return true
-			}
-			select {
-			case out <- r:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		})
-	}()
-	return out
 }

@@ -38,7 +38,7 @@ func paperPrices() source.PriceSource {
 }
 
 func TestRunPaperExample(t *testing.T) {
-	report, err := Run(context.Background(), paperPools(t), paperPrices(), Config{})
+	report, err := New(Config{}, paperPrices()).Full(context.Background(), paperPools(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestRunPaperExample(t *testing.T) {
 }
 
 func TestRunNoPools(t *testing.T) {
-	if _, err := Run(context.Background(), nil, paperPrices(), Config{}); err == nil {
+	if _, err := New(Config{}, paperPrices()).Full(context.Background(), nil); err == nil {
 		t.Error("empty pool set accepted")
 	}
 }
@@ -63,7 +63,7 @@ func TestRunNoPools(t *testing.T) {
 func TestRunCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, paperPools(t), paperPrices(), Config{}); !errors.Is(err, context.Canceled) {
+	if _, err := New(Config{}, paperPrices()).Full(ctx, paperPools(t)); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -76,13 +76,13 @@ func (failingPrices) Prices(context.Context, []string) (map[string]float64, erro
 }
 
 func TestRunPriceFailure(t *testing.T) {
-	if _, err := Run(context.Background(), paperPools(t), failingPrices{}, Config{}); err == nil {
+	if _, err := New(Config{}, failingPrices{}).Full(context.Background(), paperPools(t)); err == nil {
 		t.Error("price-source failure not surfaced")
 	}
 }
 
 func TestStreamDetectionErrorArrivesOnChannel(t *testing.T) {
-	ch := Stream(context.Background(), paperPools(t), failingPrices{}, Config{})
+	ch := New(Config{}, failingPrices{}).Stream(context.Background(), paperPools(t))
 	var got []Result
 	for r := range ch {
 		got = append(got, r)
@@ -102,7 +102,7 @@ func (failingStrategy) Optimize(context.Context, *strategy.Loop, strategy.PriceM
 }
 
 func TestRunAllLoopsFailing(t *testing.T) {
-	_, err := Run(context.Background(), paperPools(t), paperPrices(), Config{Strategy: failingStrategy{}})
+	_, err := New(Config{Strategy: failingStrategy{}}, paperPrices()).Full(context.Background(), paperPools(t))
 	if err == nil {
 		t.Error("systemic per-loop failure not surfaced")
 	}

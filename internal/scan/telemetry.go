@@ -47,9 +47,10 @@ type Metrics struct {
 	StageOrient, StagePrices, StageOptimize, StageCommit telemetry.Histogram
 	// ScanTotal is the whole-scan latency, both paths.
 	ScanTotal telemetry.Histogram
-	// FullScans and DeltaScans count how scans resolved (runCapture vs
-	// the delta fast path) — the Metrics view of DeltaStats.
-	FullScans, DeltaScans telemetry.Counter
+	// FullScans counts full passes by FullReason (captures and one-shot
+	// Full/Stream passes); DeltaScans counts scans on the delta fast path.
+	FullScans  [numFullReasons]telemetry.Counter
+	DeltaScans telemetry.Counter
 	// LoopsReoptimized and LoopsReused count per-loop work across all
 	// scans: how many Optimize calls actually ran vs merged from capture.
 	LoopsReoptimized, LoopsReused telemetry.Counter
@@ -240,8 +241,11 @@ func (m *Metrics) Register(reg *telemetry.Registry) {
 	reg.Histogram("arbloop_scan_stage_duration_seconds", `stage="optimize"`, stageHelp, &m.StageOptimize)
 	reg.Histogram("arbloop_scan_stage_duration_seconds", `stage="commit"`, stageHelp, &m.StageCommit)
 	reg.Histogram("arbloop_scan_duration_seconds", "", "whole-scan wall latency", &m.ScanTotal)
-	reg.Counter("arbloop_scans_total", `kind="full"`, "scans by resolution (full capture vs delta fast path)", &m.FullScans)
-	reg.Counter("arbloop_scans_total", `kind="delta"`, "scans by resolution (full capture vs delta fast path)", &m.DeltaScans)
+	const scansHelp = "scans by resolution (full pass, by reason, vs delta fast path)"
+	for r, name := range fullReasonNames {
+		reg.Counter("arbloop_scans_total", `kind="full",reason="`+name+`"`, scansHelp, &m.FullScans[r])
+	}
+	reg.Counter("arbloop_scans_total", `kind="delta"`, scansHelp, &m.DeltaScans)
 	reg.Counter("arbloop_scan_loops_total", `outcome="reoptimized"`, "per-loop outcomes: Optimize ran vs merged from capture", &m.LoopsReoptimized)
 	reg.Counter("arbloop_scan_loops_total", `outcome="reused"`, "per-loop outcomes: Optimize ran vs merged from capture", &m.LoopsReused)
 	reg.Counter("arbloop_scan_dirty_pools_total", "", "cumulative pools whose reserves moved, across delta scans", &m.DirtyPools)

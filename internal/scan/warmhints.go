@@ -3,7 +3,6 @@ package scan
 import (
 	"math"
 	"strings"
-	"sync"
 
 	"arbloop/internal/strategy"
 )
@@ -18,22 +17,21 @@ type WarmHint struct {
 	Inputs []float64
 }
 
-// WarmHints stages recovered warm starts for the first capture after a
-// restart. Loops are matched by token cycle up to rotation (the same
-// physical loop re-detects in an arbitrary rotation), hint inputs are
-// re-aligned into the detected loop's indexing, and non-finite or
-// negative amounts disqualify a hint. The set is take-once: the first
-// full scan consumes it, and every later scan warm-starts from its own
-// previous results as usual.
+// WarmHints is a staged set of recovered warm starts for an Engine's
+// first full pass after a restart (see Engine.PrimeWarmStarts). Loops
+// are matched by token cycle up to rotation (the same physical loop
+// re-detects in an arbitrary rotation), hint inputs are re-aligned into
+// the detected loop's indexing, and non-finite or negative amounts
+// disqualify a hint. The set is take-once: the first full pass consumes
+// it, and every later scan warm-starts from its own previous results as
+// usual. Not safe for concurrent use; the Engine serializes access.
 type WarmHints struct {
-	mu    sync.Mutex
 	hints map[string]WarmHint
 }
 
 // NewWarmHints builds a staged hint set. Hints with a degenerate shape
 // (no tokens, length mismatch) are dropped here; value sanity is checked
-// at match time. Returns nil when nothing usable remains, which callers
-// can assign to Config.WarmHints directly.
+// at match time. Returns nil when nothing usable remains.
 func NewWarmHints(hints []WarmHint) *WarmHints {
 	m := make(map[string]WarmHint, len(hints))
 	for _, h := range hints {
@@ -77,10 +75,8 @@ func (w *WarmHints) take(loops []*strategy.Loop) []*strategy.Result {
 	if w == nil {
 		return nil
 	}
-	w.mu.Lock()
 	hints := w.hints
 	w.hints = nil
-	w.mu.Unlock()
 	if len(hints) == 0 {
 		return nil
 	}

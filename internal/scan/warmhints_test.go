@@ -1,11 +1,13 @@
 package scan
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
 
 	"arbloop/internal/amm"
+	"arbloop/internal/cex"
 	"arbloop/internal/strategy"
 	"arbloop/internal/telemetry"
 )
@@ -158,5 +160,42 @@ func TestEMAPrimeDecays(t *testing.T) {
 	e2.Prime(math.Inf(1), now)
 	if v := e2.DecayedValue(now); v != 0 {
 		t.Fatalf("non-finite prime leaked: %v", v)
+	}
+}
+
+// TestEnginePrimeWarmStartsFirstPassOnly: staged hints warm-start the
+// engine's first full pass, and hints staged after it are ignored.
+func TestEnginePrimeWarmStartsFirstPassOnly(t *testing.T) {
+	ctx := context.Background()
+	pools, prices := deltaMarket(t)
+	src := cex.NewStatic(prices)
+	ref, err := New(Config{Strategy: strategy.ConvexStrategy{}}, src).Full(ctx, pools)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Results) == 0 {
+		t.Fatal("no loops detected")
+	}
+	hints := make([]WarmHint, 0, len(ref.Results))
+	for _, r := range ref.Results {
+		hints = append(hints, WarmHint{Tokens: r.Result.Loop.Tokens(), Inputs: r.Result.Plan.Inputs})
+	}
+
+	counting := newCountingConvex()
+	e := New(Config{Strategy: counting}, src)
+	e.PrimeWarmStarts(hints)
+	if _, err := e.Full(ctx, pools); err != nil {
+		t.Fatal(err)
+	}
+	if counting.warm.Load() == 0 {
+		t.Fatal("staged hints did not warm-start the first full pass")
+	}
+	warm := counting.warm.Load()
+	e.PrimeWarmStarts(hints)
+	if _, err := e.Full(ctx, pools); err != nil {
+		t.Fatal(err)
+	}
+	if got := counting.warm.Load(); got != warm {
+		t.Errorf("hints staged after the first pass warm-started %d loops", got-warm)
 	}
 }

@@ -148,6 +148,11 @@ type DeltaHealth struct {
 	// steady state is one full capture followed by delta scans.
 	FullScans  uint64 `json:"full_scans"`
 	DeltaScans uint64 `json:"delta_scans"`
+	// FullFirst and FullTopology split FullScans by reason: the first
+	// capture, and recaptures after the pool set's topology changed. A
+	// climbing topology count means the pool set is churning.
+	FullFirst    uint64 `json:"full_first"`
+	FullTopology uint64 `json:"full_topology"`
 	// Shards is the current shard count; ShardsScanned the cumulative
 	// shards rescanned across all scans (captures contribute every
 	// shard, delta scans only the dirty ones).
@@ -599,6 +604,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.Delta = &DeltaHealth{
 			FullScans:     ds.FullScans,
 			DeltaScans:    ds.DeltaScans,
+			FullFirst:     ds.FullFirst,
+			FullTopology:  ds.FullTopology,
 			Shards:        ds.Shards,
 			ShardsScanned: ds.ShardsScanned,
 		}

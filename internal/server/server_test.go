@@ -145,13 +145,14 @@ func TestHealthzEndpoint(t *testing.T) {
 	// With a probe registered the delta counters appear; unregistering
 	// removes them again.
 	srv.SetDeltaStatsProbe(func() scan.DeltaStats {
-		return scan.DeltaStats{FullScans: 1, DeltaScans: 41, Shards: 4, ShardsScanned: 9}
+		return scan.DeltaStats{FullScans: 3, FullFirst: 1, FullTopology: 2, DeltaScans: 41, Shards: 4, ShardsScanned: 9}
 	})
 	get()
 	if h.Delta == nil {
 		t.Fatal("no delta section with a probe registered")
 	}
-	if h.Delta.FullScans != 1 || h.Delta.DeltaScans != 41 || h.Delta.Shards != 4 || h.Delta.ShardsScanned != 9 {
+	if h.Delta.FullScans != 3 || h.Delta.FullFirst != 1 || h.Delta.FullTopology != 2 ||
+		h.Delta.DeltaScans != 41 || h.Delta.Shards != 4 || h.Delta.ShardsScanned != 9 {
 		t.Errorf("delta health = %+v", h.Delta)
 	}
 	srv.SetDeltaStatsProbe(nil)

@@ -20,11 +20,12 @@ type ScanReport = scan.Report
 // PoolSource, batch-fetch CEX prices from a PriceSource, and fan the
 // per-loop optimization out over a bounded worker pool. A Scanner's
 // configuration is immutable after construction and safe for concurrent
-// use — any number of Scan, ScanStream, ScanVersioned, ScanDelta, and
-// Watch calls may run at once, each seeing its own point-in-time view of
-// the sources (delta scans briefly lock the scanner's delta state to
-// snapshot and commit baselines; prices and optimization always run
-// outside the lock).
+// use — any number of Scan, ScanStream, ScanDelta, and Watch calls may
+// run at once, each seeing its own point-in-time view of the sources
+// (delta scans briefly lock the scanner's delta state to snapshot and
+// commit baselines; prices and optimization always run outside the
+// lock). One scan engine (internal/scan's Engine) runs every scan: Scan
+// and ScanStream are one-shot passes that leave the delta state alone.
 //
 // Every Scanner carries a topology cache (see WithTopologyCache): the
 // cycle-enumeration half of detection is keyed by a fingerprint of the
@@ -42,31 +43,37 @@ type ScanReport = scan.Report
 // disables the path.
 type Scanner struct {
 	pools  PoolSource
-	prices PriceSource
-	cfg    scan.Config
-	// delta is the previous-scan result cache behind ScanDelta/Watch
-	// (nil when WithDeltaScans(false)).
-	delta *scan.DeltaState
+	engine *scan.Engine
+	// delta enables the delta path behind ScanDelta/Watch (see
+	// WithDeltaScans); without it they run one-shot full scans.
+	delta bool
+}
+
+// scannerConfig is what ScannerOptions set: the engine's config plus the
+// scanner's own delta switch.
+type scannerConfig struct {
+	scan.Config
+	noDelta bool
 }
 
 // ScannerOption configures a Scanner.
-type ScannerOption func(*scan.Config)
+type ScannerOption func(*scannerConfig)
 
 // WithLoopLengths bounds the detected loop length to [min, max]. The
 // default is [3, 3], the paper's §VI setting.
 func WithLoopLengths(min, max int) ScannerOption {
-	return func(c *scan.Config) { c.MinLen, c.MaxLen = min, max }
+	return func(c *scannerConfig) { c.MinLen, c.MaxLen = min, max }
 }
 
 // WithStrategy selects the per-loop optimizer (default MaxMaxStrategy).
 func WithStrategy(s Strategy) ScannerOption {
-	return func(c *scan.Config) { c.Strategy = s }
+	return func(c *scannerConfig) { c.Strategy = s }
 }
 
 // WithStrategyName selects a registered strategy by name; unknown names
 // surface as an error from NewScanner.
 func WithStrategyName(name string) ScannerOption {
-	return func(c *scan.Config) {
+	return func(c *scannerConfig) {
 		s, ok := LookupStrategy(name)
 		if !ok {
 			c.Strategy = errStrategy{name: name}
@@ -85,22 +92,22 @@ func (e errStrategy) Optimize(context.Context, *Loop, PriceMap) (Result, error) 
 }
 
 // WithParallelism bounds the optimization worker pool (default
-// GOMAXPROCS, read once by NewScanner). Parallelism 1 reproduces the sequential per-loop order of
-// work exactly.
+// GOMAXPROCS, read once by NewScanner). Parallelism 1 reproduces the
+// sequential per-loop order of work exactly.
 func WithParallelism(n int) ScannerOption {
-	return func(c *scan.Config) { c.Parallelism = n }
+	return func(c *scannerConfig) { c.Parallelism = n }
 }
 
 // WithMinProfitUSD drops results whose monetized profit is predicted
 // below the threshold (default 0: keep every non-negative result).
 func WithMinProfitUSD(usd float64) ScannerOption {
-	return func(c *scan.Config) { c.MinProfitUSD = usd }
+	return func(c *scannerConfig) { c.MinProfitUSD = usd }
 }
 
 // WithTopK truncates the ranked batch report to the K most profitable
 // loops (default 0: keep all). Streaming scans ignore it.
 func WithTopK(k int) ScannerOption {
-	return func(c *scan.Config) { c.TopK = k }
+	return func(c *scannerConfig) { c.TopK = k }
 }
 
 // WithMaxCycles caps how many undirected cycles detection may enumerate
@@ -108,7 +115,7 @@ func WithTopK(k int) ScannerOption {
 // blowing the per-block time budget — the guard a serving deployment
 // needs against adversarially dense markets.
 func WithMaxCycles(n int) ScannerOption {
-	return func(c *scan.Config) { c.MaxCycles = n }
+	return func(c *scannerConfig) { c.MaxCycles = n }
 }
 
 // WithTopologyCache sizes the scanner's topology cache: how many distinct
@@ -116,7 +123,7 @@ func WithMaxCycles(n int) ScannerOption {
 // Pass a negative capacity to disable caching — every scan re-enumerates,
 // the pre-cache behaviour.
 func WithTopologyCache(capacity int) ScannerOption {
-	return func(c *scan.Config) {
+	return func(c *scannerConfig) {
 		if capacity < 0 {
 			c.Cache = nil
 			return
@@ -130,7 +137,7 @@ func WithTopologyCache(capacity int) ScannerOption {
 // full scan — the pre-delta behaviour, useful for benchmarking the
 // speedup and as an escape hatch.
 func WithDeltaScans(enabled bool) ScannerOption {
-	return func(c *scan.Config) { c.DisableDelta = !enabled }
+	return func(c *scannerConfig) { c.noDelta = !enabled }
 }
 
 // WithTelemetry toggles the scanner's metrics (default on): per-stage
@@ -141,7 +148,7 @@ func WithDeltaScans(enabled bool) ScannerOption {
 // bit-for-bit comparison against uninstrumented runs, not because the
 // cost needs managing.
 func WithTelemetry(enabled bool) ScannerOption {
-	return func(c *scan.Config) {
+	return func(c *scannerConfig) {
 		if !enabled {
 			c.Metrics = nil
 			return
@@ -166,39 +173,36 @@ type ScanMetrics = scan.Metrics
 // allocation-free path (context.WithTimeout allocates), so the steady-state
 // allocation budget is quoted with it off.
 func WithStageTimeout(d time.Duration) ScannerOption {
-	return func(c *scan.Config) { c.StageTimeout = d }
+	return func(c *scannerConfig) { c.StageTimeout = d }
 }
 
 // WithShards partitions the cycle set into n shards for the delta path
 // (default GOMAXPROCS, read once by NewScanner — a later GOMAXPROCS
-// change does not repartition a running scanner). Each shard owns the remembered state of its
-// cycles — partitioned connected-component-aware over the pool→cycle
-// index — and a delta scan re-orients only the shards a dirty pool
-// touches, in parallel. Shards change how the work is organized, not
-// the results: reports are identical at every shard count.
-// WithParallelism independently bounds how many goroutines execute the
-// shard and per-loop work. Changing the shard count invalidates the
-// delta baseline (the next scan is a full capture).
+// change does not repartition a running scanner). Each shard owns the
+// remembered state of its cycles — partitioned connected-component-aware
+// over the pool→cycle index — and a delta scan re-orients only the
+// shards a dirty pool touches, in parallel. Shards change how the work
+// is organized, not the results: reports are identical at every shard
+// count. WithParallelism independently bounds how many goroutines
+// execute the shard and per-loop work.
 func WithShards(n int) ScannerOption {
-	return func(c *scan.Config) { c.Shards = n }
+	return func(c *scannerConfig) { c.Shards = n }
 }
 
 // DeltaStats reports how the scanner's delta state resolved its scans:
-// full captures vs delta scans, cumulative shards rescanned, and the
-// current shard count. Zero when delta scans are disabled.
+// full captures (split by reason: first scan or topology change) vs
+// delta scans, cumulative shards rescanned, and the current shard
+// count. Zero when delta scans are disabled.
 type DeltaStats = scan.DeltaStats
 
 // DeltaStats returns the scanner's delta-path counters.
 func (s *Scanner) DeltaStats() DeltaStats {
-	if s.delta == nil {
-		return DeltaStats{}
-	}
-	return s.delta.Stats()
+	return s.engine.Stats()
 }
 
 // Metrics returns the scanner's telemetry (nil with WithTelemetry(false)).
 func (s *Scanner) Metrics() *ScanMetrics {
-	return s.cfg.Metrics
+	return s.engine.Config().Metrics
 }
 
 // WarmHint is one recovered warm start — the token cycle of a
@@ -211,12 +215,11 @@ type WarmHint = scan.WarmHint
 // token cycle matches a hint start from the recovered plan instead of
 // cold. Hints apply once, only when the configured strategy supports
 // warm starts, and malformed hints are ignored — priming can shorten the
-// first scan but never change its results. Call before the first scan;
-// later calls are ignored once scanning has begun.
+// first scan but never change its results. Call before the first scan:
+// once a full scan has run, later calls are ignored. Safe to call
+// concurrently with scans.
 func (s *Scanner) PrimeWarmStarts(hints []WarmHint) {
-	if wh := scan.NewWarmHints(hints); wh != nil {
-		s.cfg.WarmHints = wh
-	}
+	s.engine.PrimeWarmStarts(hints)
 }
 
 // PrimeDirtiness seeds the per-pool dirtiness-rate EMAs with estimates
@@ -225,8 +228,8 @@ func (s *Scanner) PrimeWarmStarts(hints []WarmHint) {
 // instead of re-learning it over the EMA time constant. No-op without
 // telemetry. Call before the first scan.
 func (s *Scanner) PrimeDirtiness(priors map[string]float64) {
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.PrimeDirtiness(priors)
+	if m := s.Metrics(); m != nil {
+		m.PrimeDirtiness(priors)
 	}
 }
 
@@ -239,7 +242,7 @@ func NewScanner(pools PoolSource, prices PriceSource, opts ...ScannerOption) (*S
 	// The default topology cache and telemetry are installed before the
 	// options run so WithTopologyCache / WithTelemetry can resize or
 	// disable them.
-	cfg := scan.Config{Cache: scan.NewCache(0), Metrics: scan.NewMetrics()}
+	cfg := scannerConfig{Config: scan.Config{Cache: scan.NewCache(0), Metrics: scan.NewMetrics()}}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -250,32 +253,30 @@ func NewScanner(pools PoolSource, prices PriceSource, opts ...ScannerOption) (*S
 		return nil, fmt.Errorf("arbloop: unknown strategy %q (registered: %v)", es.name, StrategyNames())
 	}
 	// Defaults — GOMAXPROCS-derived Parallelism and Shards above all —
-	// resolve once, here, so every scan through the delta state runs
-	// under the same shard partition.
-	s := &Scanner{pools: pools, prices: prices, cfg: cfg.Resolve()}
-	if !cfg.DisableDelta {
-		s.delta = &scan.DeltaState{}
-	}
-	return s, nil
+	// resolve once, in scan.New, so every scan runs under the same shard
+	// partition.
+	return &Scanner{pools: pools, engine: scan.New(cfg.Config, prices), delta: !cfg.noDelta}, nil
 }
 
 // Scan runs one batch scan: detection, parallel optimization, then
 // ranking by monetized profit (filtered by WithMinProfitUSD, truncated to
 // WithTopK). It honors ctx cancellation between pipeline stages and
-// per-loop.
+// per-loop. Scan is a one-shot pass: it leaves the delta state behind
+// ScanDelta and Watch untouched.
 func (s *Scanner) Scan(ctx context.Context) (ScanReport, error) {
 	pools, err := s.pools.Pools(ctx)
 	if err != nil {
 		return ScanReport{}, fmt.Errorf("arbloop: read pools: %w", err)
 	}
-	return scan.Run(ctx, pools, s.prices, s.cfg)
+	return s.engine.Full(ctx, pools)
 }
 
 // ScanStream runs one scan and delivers per-loop results as workers
 // finish them, in completion order (use ScanResult.Index to re-sequence).
 // The channel closes when the scan completes or ctx is cancelled. Errors
 // — a failed detection stage or a failed individual loop — arrive on the
-// channel with Err set, so a consumer sees everything in one place.
+// channel with Err set, so a consumer sees everything in one place. Like
+// Scan, it leaves the delta state untouched.
 func (s *Scanner) ScanStream(ctx context.Context) <-chan ScanResult {
 	pools, err := s.pools.Pools(ctx)
 	if err != nil {
@@ -284,7 +285,7 @@ func (s *Scanner) ScanStream(ctx context.Context) <-chan ScanResult {
 		close(out)
 		return out
 	}
-	return scan.Stream(ctx, pools, s.prices, s.cfg)
+	return s.engine.Stream(ctx, pools)
 }
 
 // VersionedReport pairs a scan report with the pool-feed coordinates it
@@ -309,61 +310,41 @@ type VersionedReport struct {
 	Err error
 }
 
-// ScanVersioned scans one versioned pool update instead of reading the
-// Scanner's own pool source — the entry point for feed-driven serving.
-// With an unchanged topology the scanner's cache makes this a warm scan:
-// cycle enumeration is skipped and only orientation, price fetch, and
-// optimization run.
-func (s *Scanner) ScanVersioned(ctx context.Context, u PoolUpdate) (VersionedReport, error) {
-	start := time.Now()
-	rep, err := scan.Run(ctx, u.Pools, s.prices, s.cfg)
-	if err != nil {
-		return VersionedReport{}, fmt.Errorf("arbloop: scan version %d: %w", u.Version, err)
-	}
-	return VersionedReport{
-		Version:      u.Version,
-		Height:       u.Height,
-		Report:       rep,
-		Elapsed:      time.Since(start),
-		ChangedPools: u.ChangedPools,
-	}, nil
-}
-
 // ScanDelta scans one versioned pool update on the delta path: only
 // loops affected by the update's reserve changes (widened by
 // Update.ChangedPools when the feed provides it) or by moved CEX prices
 // are re-optimized — in parallel across the shards they touch (see
 // WithShards); every other result merges from the scanner's previous
-// scan. The report — results, ordering, counters — is identical to
-// ScanVersioned's full scan of the same update; LoopsReoptimized,
-// LoopsReused, and ShardsScanned show the split. The scan transparently
-// falls back to a full one whenever the previous state cannot be reused:
-// the first scan, a topology change, or WithDeltaScans(false).
+// scan. The report — results, ordering, counters — is identical to a
+// full scan of the same update; LoopsReoptimized, LoopsReused, and
+// ShardsScanned show the split. The scan transparently falls back to a
+// full one whenever the previous state cannot be reused — the first
+// scan or a topology change (both capture a fresh baseline) — and
+// WithDeltaScans(false) makes every call a one-shot full scan.
 //
 // Reserve changes are diffed against the scanner's own previous scan,
 // not trusted from the update, so coalesced feeds (skipped versions) and
 // stale ChangedPools sets cannot produce a wrong report.
 func (s *Scanner) ScanDelta(ctx context.Context, u PoolUpdate) (VersionedReport, error) {
-	return s.scanUpdate(ctx, u, s.cfg)
+	return s.scanUpdate(ctx, u, s.engine)
 }
 
-// scanUpdate runs one versioned scan under the given engine config —
-// the delta path when the scanner has delta state, a full scan
-// otherwise. Watch passes a config wired to its persistent worker pool;
-// ScanDelta passes the scanner's plain config.
-func (s *Scanner) scanUpdate(ctx context.Context, u PoolUpdate, cfg scan.Config) (VersionedReport, error) {
-	if s.delta == nil {
-		start := time.Now()
-		rep, err := scan.Run(ctx, u.Pools, s.prices, cfg)
-		if err != nil {
-			return VersionedReport{}, fmt.Errorf("arbloop: scan version %d: %w", u.Version, err)
-		}
-		return VersionedReport{Version: u.Version, Height: u.Height, Report: rep, Elapsed: time.Since(start), ChangedPools: u.ChangedPools}, nil
-	}
+// scanUpdate runs one versioned scan on eng — the delta path unless
+// WithDeltaScans(false). Watch passes a view of the engine bound to its
+// persistent worker pool; ScanDelta passes the engine itself.
+func (s *Scanner) scanUpdate(ctx context.Context, u PoolUpdate, eng *scan.Engine) (VersionedReport, error) {
 	start := time.Now()
-	rep, err := scan.RunDelta(ctx, u.Pools, u.ChangedPools, s.prices, cfg, s.delta)
+	var (
+		rep ScanReport
+		err error
+	)
+	if s.delta {
+		rep, err = eng.Scan(ctx, u.Pools, u.ChangedPools)
+	} else {
+		rep, err = eng.Full(ctx, u.Pools)
+	}
 	if err != nil {
-		return VersionedReport{}, fmt.Errorf("arbloop: delta scan version %d: %w", u.Version, err)
+		return VersionedReport{}, fmt.Errorf("arbloop: scan version %d: %w", u.Version, err)
 	}
 	return VersionedReport{
 		Version:      u.Version,
@@ -392,9 +373,8 @@ func (s *Scanner) scanUpdate(ctx context.Context, u PoolUpdate, cfg scan.Config)
 func (s *Scanner) Watch(ctx context.Context, w *Watcher) <-chan VersionedReport {
 	out := make(chan VersionedReport)
 	updates, cancel := w.Subscribe()
-	cfg := s.cfg
-	pool := scan.NewWorkers(cfg.Parallelism)
-	cfg.Workers = pool
+	pool := scan.NewWorkers(s.engine.Config().Parallelism)
+	eng := s.engine.WithWorkers(pool)
 	go func() {
 		defer close(out)
 		defer cancel()
@@ -407,7 +387,7 @@ func (s *Scanner) Watch(ctx context.Context, w *Watcher) <-chan VersionedReport 
 				if !ok {
 					return
 				}
-				vr, err := s.scanUpdate(ctx, u, cfg)
+				vr, err := s.scanUpdate(ctx, u, eng)
 				if err != nil {
 					if ctx.Err() != nil {
 						return

@@ -232,3 +232,80 @@ func TestScanDeltaSurvivesGOMAXPROCSChange(t *testing.T) {
 		t.Errorf("shard count moved %d -> %d with GOMAXPROCS", shards, st.Shards)
 	}
 }
+
+// TestScanAndStreamLeaveDeltaBaseline: the one-shot entry points (Scan,
+// ScanStream) run full passes without capturing — DeltaStats does not
+// move, and the next ScanDelta is still a delta scan.
+func TestScanAndStreamLeaveDeltaBaseline(t *testing.T) {
+	ctx := context.Background()
+	market, prices := newMutableMarket(t)
+	sc, err := arbloop.NewScanner(market, prices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := arbloop.NewWatcher(market)
+	u, err := w.Refresh(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.ScanDelta(ctx, u); err != nil { // capture
+		t.Fatal(err)
+	}
+	before := sc.DeltaStats()
+
+	market.trade(t, rand.New(rand.NewSource(29)), 3)
+	if _, err := sc.Scan(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for r := range sc.ScanStream(ctx) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	if got := sc.DeltaStats(); got != before {
+		t.Fatalf("Scan/ScanStream moved DeltaStats: %+v -> %+v", before, got)
+	}
+
+	u, err = w.Refresh(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vr, err := sc.ScanDelta(ctx, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sc.DeltaStats()
+	if st.FullScans != before.FullScans || st.DeltaScans != before.DeltaScans+1 || vr.Report.LoopsReused == 0 {
+		t.Errorf("ScanDelta after one-shot scans: stats %+v, reused %d; want a delta scan", st, vr.Report.LoopsReused)
+	}
+}
+
+// TestPrimeWarmStartsConcurrentWithScan is a race regression: priming
+// warm starts while another goroutine scans must be synchronized (run
+// under -race). Hints staged after the first full scan are ignored.
+func TestPrimeWarmStartsConcurrentWithScan(t *testing.T) {
+	ctx := context.Background()
+	market, prices := newMutableMarket(t)
+	sc, err := arbloop.NewScanner(market, prices, arbloop.WithStrategy(arbloop.ConvexStrategy{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hints := []arbloop.WarmHint{{Tokens: []string{"A", "B", "C"}, Inputs: []float64{1, 2, 3}}}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		sc.PrimeWarmStarts(hints)
+	}()
+	go func() {
+		defer wg.Done()
+		if _, err := sc.Scan(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	wg.Wait()
+	sc.PrimeWarmStarts(hints) // after a full scan: ignored
+	if _, err := sc.Scan(ctx); err != nil {
+		t.Fatal(err)
+	}
+}

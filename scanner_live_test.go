@@ -51,7 +51,7 @@ func TestScanVersionedUsesTopologyCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vr1, err := sc.ScanVersioned(ctx, u1)
+	vr1, err := sc.ScanDelta(ctx, u1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestScanVersionedUsesTopologyCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vr2, err := sc.ScanVersioned(ctx, u2)
+	vr2, err := sc.ScanDelta(ctx, u2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,10 +106,10 @@ func benchTelemetry(t *testing.T) telemetryBenchSection {
 	}).NsPerOp())
 
 	// End-to-end overhead: ONE delta engine, one baseline, one pool set —
-	// only the Config.Metrics pointer differs between timed batches, so
-	// the comparison isolates the instrumentation writes from allocator
-	// layout and cache-warmth differences two separate scanner instances
-	// would carry. Interleaved batches, min of trials.
+	// only the metrics view differs between timed batches (Engine.
+	// WithMetrics shares the baseline), so the comparison isolates the
+	// instrumentation writes from allocator layout and cache-warmth
+	// differences two separate scanner instances would carry.
 	ctx := context.Background()
 	snap, err := arbloop.GenerateMarket(arbloop.DefaultGeneratorConfig())
 	if err != nil {
@@ -121,11 +121,9 @@ func benchTelemetry(t *testing.T) telemetryBenchSection {
 		t.Fatal(err)
 	}
 	src := cex.NewStatic(filtered.PricesUSD)
-	cfgOff := scan.Config{Strategy: strategy.MaxMaxStrategy{}, Parallelism: 1, Shards: 4}
-	cfgOn := cfgOff
-	cfgOn.Metrics = scan.NewMetrics()
-	st := &scan.DeltaState{}
-	if _, err := scan.RunDelta(ctx, pools, nil, src, cfgOn, st); err != nil { // warm: capture + size metric vectors
+	engOn := scan.New(scan.Config{Strategy: strategy.MaxMaxStrategy{}, Parallelism: 1, Shards: 4, Metrics: scan.NewMetrics()}, src)
+	engOff := engOn.WithMetrics(nil)
+	if _, err := engOn.Scan(ctx, pools, nil); err != nil { // warm: capture + size metric vectors
 		t.Fatal(err)
 	}
 	// Run adjacent off/on scan pairs and take the MEDIAN of the per-pair
@@ -143,9 +141,9 @@ func benchTelemetry(t *testing.T) telemetryBenchSection {
 	// residual noise is ~±1%, too wide against a 2% budget for a CI
 	// gate.
 	const pairs = 2000
-	run := func(cfg scan.Config) float64 {
+	run := func(eng *scan.Engine) float64 {
 		start := time.Now()
-		if _, err := scan.RunDelta(ctx, pools, nil, src, cfg, st); err != nil {
+		if _, err := eng.Scan(ctx, pools, nil); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start).Seconds()
@@ -156,11 +154,11 @@ func benchTelemetry(t *testing.T) telemetryBenchSection {
 	block := func() (off, delta float64) {
 		for i := 0; i < pairs; i++ {
 			if order.Intn(2) == 0 {
-				offs[i] = run(cfgOff)
-				deltas[i] = run(cfgOn) - offs[i]
+				offs[i] = run(engOff)
+				deltas[i] = run(engOn) - offs[i]
 			} else {
-				on := run(cfgOn)
-				offs[i] = run(cfgOff)
+				on := run(engOn)
+				offs[i] = run(engOff)
 				deltas[i] = on - offs[i]
 			}
 		}
