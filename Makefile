@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-go bench-maxmax bench-convex bench-delta bench-shard bench-server bench-telemetry bench-faults chaos fuzz clean
+.PHONY: all build test race vet lint bench bench-go bench-maxmax bench-convex bench-delta bench-feed bench-shard bench-server bench-telemetry bench-faults chaos fuzz clean
 
 all: build vet lint test
 
@@ -43,6 +43,13 @@ bench-maxmax:
 # scans). Quick enough for CI.
 bench-delta:
 	$(GO) test -bench 'BenchmarkScan(FullWarm|Delta10pct)' -benchmem -run '^$$' .
+
+# Feed refresh per block: Watcher.Refresh over a chain source after a
+# block's retail swaps, at the paper's 208 pools and at 1,000. Only the
+# pools a block wrote are rebuilt, so allocs/op track the swaps, not the
+# pool count. Quick enough for CI.
+bench-feed:
+	$(GO) test -bench 'BenchmarkWatcherRefresh' -benchmem -run '^$$' ./internal/feed
 
 # Sharded delta path smoke: tiny run counts, runs on every PR so the
 # sharded engine compiles and stays delta-engaged.

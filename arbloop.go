@@ -154,7 +154,8 @@ var (
 
 // Data-source contracts and adapters.
 type (
-	// PoolSource supplies the current set of liquidity pools.
+	// PoolSource supplies the current set of liquidity pools. The pools
+	// it returns are immutable and may be shared across calls.
 	PoolSource = source.PoolSource
 	// PriceSource supplies USD prices for token symbols; every Oracle
 	// satisfies it.
@@ -180,7 +181,8 @@ type (
 var (
 	// FromSnapshot wraps a market snapshot as a pool + price source.
 	FromSnapshot = source.FromSnapshot
-	// FromChain wraps chain-simulator state as a pool source.
+	// FromChain wraps chain-simulator state as a pool source that
+	// rebuilds only the pools written since its previous call.
 	FromChain = source.FromChain
 	// NewPriceBreaker wraps a PriceSource in a PriceBreaker.
 	NewPriceBreaker = source.NewPriceBreaker

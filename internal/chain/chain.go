@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 	"sync"
 
@@ -39,26 +40,33 @@ const DefaultBlockIntervalSeconds = 10
 
 // poolState is the on-chain reserve record of one pair.
 type poolState struct {
+	id                 string
 	token0, token1     string
 	reserve0, reserve1 *big.Int
 	feeBps             int64
+	// rev is the state revision of the last write to the reserves (see
+	// PoolRecord.Revision).
+	rev uint64
 }
 
 func (p *poolState) clone() *poolState {
-	return &poolState{
-		token0:   p.token0,
-		token1:   p.token1,
-		reserve0: new(big.Int).Set(p.reserve0),
-		reserve1: new(big.Int).Set(p.reserve1),
-		feeBps:   p.feeBps,
-	}
+	cp := *p
+	cp.reserve0 = new(big.Int).Set(p.reserve0)
+	cp.reserve1 = new(big.Int).Set(p.reserve1)
+	return &cp
 }
 
 // State is the chain state: pools plus a block clock. Safe for concurrent
 // use.
 type State struct {
-	mu        sync.RWMutex
-	pools     map[string]*poolState
+	mu    sync.RWMutex
+	pools map[string]*poolState
+	// byID holds the same records in ascending ID order, kept sorted by
+	// AddPool: the order PoolIDs and AppendPools serve.
+	byID []*poolState
+	// rev counts reserve writes; each write stamps the pools it touched
+	// with the new value.
+	rev       uint64
 	height    int64
 	timestamp int64
 	interval  int64
@@ -96,13 +104,19 @@ func (s *State) AddPool(id, token0, token1 string, reserve0, reserve1 *big.Int, 
 	if _, ok := s.pools[id]; ok {
 		return fmt.Errorf("%w: %q", ErrDuplicatePair, id)
 	}
-	s.pools[id] = &poolState{
+	s.rev++
+	p := &poolState{
+		id:       id,
 		token0:   token0,
 		token1:   token1,
 		reserve0: new(big.Int).Set(reserve0),
 		reserve1: new(big.Int).Set(reserve1),
 		feeBps:   feeBps,
+		rev:      s.rev,
 	}
+	s.pools[id] = p
+	i := sort.Search(len(s.byID), func(i int) bool { return s.byID[i].id >= id })
+	s.byID = slices.Insert(s.byID, i, p)
 	return nil
 }
 
@@ -251,9 +265,13 @@ func (s *State) executeLocked(tx Tx) Receipt {
 	}
 	borrowBal.Sub(borrowBal, tx.Amount)
 
-	// Commit staged pools.
+	// Commit the staged copies into the pools' records, so byID keeps
+	// pointing at them, all stamped with one new revision. The copies'
+	// integers are new, so none AppendPools handed out changes.
+	s.rev++
 	for id, p := range staged {
-		s.pools[id] = p
+		p.rev = s.rev
+		*s.pools[id] = *p
 	}
 	profit := make(map[string]*big.Int)
 	for tok, bal := range balances {
@@ -313,12 +331,43 @@ func (s *State) sealBlock(txs []Tx) ([]Receipt, int64, []func(int64)) {
 func (s *State) PoolIDs() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.pools))
-	for id := range s.pools {
-		out = append(out, id)
+	out := make([]string, len(s.byID))
+	for i, p := range s.byID {
+		out[i] = p.id
 	}
-	sort.Strings(out)
 	return out
+}
+
+// PoolRecord is one pool's on-chain record.
+type PoolRecord struct {
+	ID, Token0, Token1 string
+	// Reserve0 and Reserve1 are the state's own integers. The state never
+	// modifies an integer it holds — every write replaces it — so they
+	// stay valid after the call; callers must not modify them.
+	Reserve0, Reserve1 *big.Int
+	FeeBps             int64
+	// Revision identifies the last write to the pool's reserves. AddPool,
+	// Swap and every committed transaction stamp the pools they write
+	// with a new state-wide revision (a reverted transaction stamps
+	// nothing), so a pool whose Revision has not moved still holds the
+	// reserves it held when that Revision was read.
+	Revision uint64
+}
+
+// AppendPools appends every pool's record to dst in ascending ID order
+// and returns the extended slice. All records are read under one lock,
+// so together they are one consistent state: no transaction is half in.
+func (s *State) AppendPools(dst []PoolRecord) []PoolRecord {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, p := range s.byID {
+		dst = append(dst, PoolRecord{
+			ID: p.id, Token0: p.token0, Token1: p.token1,
+			Reserve0: p.reserve0, Reserve1: p.reserve1,
+			FeeBps: p.feeBps, Revision: p.rev,
+		})
+	}
+	return dst
 }
 
 // PoolTokens returns the token pair of a pool.
@@ -370,7 +419,16 @@ func (s *State) Swap(pairID, tokenIn string, amountIn *big.Int) (*big.Int, error
 	if out.Sign() <= 0 || out.Cmp(rout) >= 0 {
 		return nil, amm.ErrInsufficientLiquidity
 	}
-	rin.Add(rin, amountIn)
-	rout.Sub(rout, out)
+	// New integers, not in-place updates: AppendPools hands the old ones
+	// out.
+	rin = new(big.Int).Add(rin, amountIn)
+	rout = new(big.Int).Sub(rout, out)
+	if tokenIn == p.token0 {
+		p.reserve0, p.reserve1 = rin, rout
+	} else {
+		p.reserve1, p.reserve0 = rin, rout
+	}
+	s.rev++
+	p.rev = s.rev
 	return out, nil
 }

@@ -339,3 +339,57 @@ func TestOnBlockHook(t *testing.T) {
 		t.Errorf("ExecuteTx notified: %v", got)
 	}
 }
+
+// AppendPools serves pools in ID order whatever the insertion order; a
+// record's integers never change after the call (writes replace them);
+// and a pool's revision moves exactly when its reserves are written —
+// by a swap or a committed transaction, not by a reverted one.
+func TestAppendPoolsRevisionsAndImmutableRecords(t *testing.T) {
+	s := NewState(0)
+	for _, id := range []string{"p3", "p1", "p2"} {
+		if err := s.AddPool(id, "X", "Y", bi(1_000_000), bi(1_000_000), 30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := s.AppendPools(nil)
+	if len(before) != 3 || before[0].ID != "p1" || before[1].ID != "p2" || before[2].ID != "p3" {
+		t.Fatalf("AppendPools order = %v", before)
+	}
+	held := [][2]string{}
+	for _, r := range before {
+		held = append(held, [2]string{r.Reserve0.String(), r.Reserve1.String()})
+	}
+
+	if _, err := s.Swap("p1", "X", bi(10_000)); err != nil {
+		t.Fatal(err)
+	}
+	// Unprofitable round trip through p2: reverts, writes nothing.
+	if r := s.ExecuteTx(Tx{Borrow: "X", Amount: bi(10_000), Steps: []SwapStep{
+		{PairID: "p2", TokenIn: "X"}, {PairID: "p2", TokenIn: "Y"},
+	}}); r.OK {
+		t.Fatal("round trip through one pool committed")
+	}
+	// p1 now prices Y dearer than p3: X→Y on p3, Y→X on p1 commits.
+	if r := s.ExecuteTx(Tx{Borrow: "X", Amount: bi(1_000), Steps: []SwapStep{
+		{PairID: "p3", TokenIn: "X"}, {PairID: "p1", TokenIn: "Y"},
+	}}); !r.OK {
+		t.Fatalf("arbitrage reverted: %v", r.Err)
+	}
+
+	after := s.AppendPools(before[:0:0])
+	for i, r := range before {
+		if got := [2]string{r.Reserve0.String(), r.Reserve1.String()}; got != held[i] {
+			t.Errorf("%s: handed-out reserves changed from %v to %v", r.ID, held[i], got)
+		}
+	}
+	moved := map[string]bool{"p1": true, "p2": false, "p3": true}
+	for i, r := range after {
+		if got := r.Revision != before[i].Revision; got != moved[r.ID] {
+			t.Errorf("%s: revision moved = %v, want %v", r.ID, got, moved[r.ID])
+		}
+		r0, r1, err := s.Reserves(r.ID)
+		if err != nil || r0.Cmp(r.Reserve0) != 0 || r1.Cmp(r.Reserve1) != 0 {
+			t.Errorf("%s: record reserves %s/%s, state %s/%s", r.ID, r.Reserve0, r.Reserve1, r0, r1)
+		}
+	}
+}

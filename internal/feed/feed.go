@@ -78,9 +78,14 @@ type Update struct {
 	// configured (WithHeightProbe); 0 otherwise.
 	Height int64
 	// Pools is the point-in-time pool set. The slice and pools are owned
-	// by the consumers collectively; treat them as read-only.
+	// by the consumers collectively; treat them as read-only. Pools are
+	// immutable and may be shared with earlier and later updates: a
+	// source such as source.ChainSource hands back the same *amm.Pool
+	// while its reserves do not move.
 	Pools []*amm.Pool
 	// Fingerprint is the topology fingerprint of Pools (scan.Fingerprint).
+	// It is carried over from the previous update, not recomputed, when
+	// Pools matches that update's pools one for one in ID, tokens and fee.
 	Fingerprint string
 	// TopologyChanged reports whether this update's fingerprint differs
 	// from the previous update's (true for the first update): pools,
@@ -240,6 +245,10 @@ type Watcher struct {
 	// re-admission (counted) and clears the entry. Guarded by refreshMu:
 	// quarantine only runs inside Refresh.
 	quarantinedIDs map[string]struct{}
+	// seenIDs is quarantine's duplicate-ID set for sources that do not
+	// serve pools in ascending ID order; cleared, not reallocated, per
+	// refresh. Guarded by refreshMu.
+	seenIDs map[string]struct{}
 
 	mu     sync.Mutex
 	subs   map[int]chan Update
@@ -336,7 +345,31 @@ func (w *Watcher) Refresh(ctx context.Context) (Update, error) {
 			return Update{}, ErrNoValidPools
 		}
 	}
-	fp := scan.Fingerprint(pools)
+	// Only Refresh writes w.last, and refreshMu serializes Refresh, so
+	// it can be read here without w.mu.
+	prev := w.last
+	// A set that matches the previous update pool by pool, in order, has
+	// its fingerprint: only the reserves can differ.
+	aligned := prev.Version > 0 && sameTopology(prev.Pools, pools)
+	fp := prev.Fingerprint
+	if !aligned {
+		fp = scan.Fingerprint(pools)
+	}
+	u := Update{
+		Version:         prev.Version + 1,
+		Height:          height,
+		Pools:           pools,
+		Fingerprint:     fp,
+		TopologyChanged: prev.Version == 0 || fp != prev.Fingerprint,
+	}
+	switch {
+	case aligned:
+		u.ChangedPools = diffReserves(prev.Pools, pools)
+	case !u.TopologyChanged:
+		// The same pools in another order: equal fingerprints mean the
+		// canonical orders line up pool by pool.
+		u.ChangedPools = diffReserves(scan.Canonicalize(prev.Pools), scan.Canonicalize(pools))
+	}
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -346,16 +379,6 @@ func (w *Watcher) Refresh(ctx context.Context) (Update, error) {
 	w.refreshes.Inc()
 	w.consecFails.Set(0)
 	w.lastSuccessNano.Set(time.Now().UnixNano())
-	u := Update{
-		Version:         w.last.Version + 1,
-		Height:          height,
-		Pools:           pools,
-		Fingerprint:     fp,
-		TopologyChanged: w.last.Version == 0 || fp != w.last.Fingerprint,
-	}
-	if !u.TopologyChanged {
-		u.ChangedPools = diffReserves(w.last.Pools, pools)
-	}
 	w.last = u
 	for _, ch := range w.subs {
 		SendCoalesce(ch, u)
@@ -376,16 +399,36 @@ func (w *Watcher) Refresh(ctx context.Context) (Update, error) {
 // operators can tell "flapping upstream" from "permanently poisoned".
 // Duplicate IDs are dropped but never remembered: their first, valid copy
 // kept the ID in the set throughout.
+//
+// While the valid IDs arrive in strictly ascending order (an ID-sorted
+// source such as chain.State) a repeat is impossible, so each ID is only
+// compared with the last valid one; the first ID out of that order moves
+// the check onto seenIDs, a set the watcher reuses across refreshes.
 func (w *Watcher) quarantine(pools []*amm.Pool) ([]*amm.Pool, int) {
-	seen := make(map[string]struct{}, len(pools))
 	var kept []*amm.Pool
 	dropped := 0
+	ascending := true
+	var lastID string
 	for i, p := range pools {
 		err := p.Validate()
 		dup := false
 		if err == nil {
-			if _, dup = seen[p.ID]; dup {
-				err = errors.New("duplicate pool id")
+			if ascending && (i == dropped || p.ID > lastID) {
+				lastID = p.ID
+			} else {
+				if ascending {
+					ascending = false
+					valid := pools[:i]
+					if kept != nil {
+						valid = kept
+					}
+					w.resetSeenIDs(valid)
+				}
+				if _, dup = w.seenIDs[p.ID]; dup {
+					err = errors.New("duplicate pool id")
+				} else {
+					w.seenIDs[p.ID] = struct{}{}
+				}
 			}
 		}
 		if err != nil {
@@ -409,7 +452,6 @@ func (w *Watcher) quarantine(pools []*amm.Pool) ([]*amm.Pool, int) {
 			delete(w.quarantinedIDs, p.ID)
 			w.readmitted.Inc()
 		}
-		seen[p.ID] = struct{}{}
 		if kept != nil {
 			kept = append(kept, p)
 		}
@@ -420,19 +462,39 @@ func (w *Watcher) quarantine(pools []*amm.Pool) ([]*amm.Pool, int) {
 	return kept, dropped
 }
 
-// diffReserves returns the sorted IDs of pools whose reserves differ
-// between two views of the same topology (equal fingerprints guarantee
-// matching pool sets; order may differ, so the diff is by ID). The result
-// is non-nil even when empty: "nothing changed" is a known dirty set.
-func diffReserves(prev, cur []*amm.Pool) []string {
-	byID := make(map[string]*amm.Pool, len(prev))
-	for _, p := range prev {
-		byID[p.ID] = p
+// resetSeenIDs makes seenIDs hold exactly the IDs of pools.
+func (w *Watcher) resetSeenIDs(pools []*amm.Pool) {
+	if w.seenIDs == nil {
+		w.seenIDs = make(map[string]struct{}, len(pools))
 	}
+	clear(w.seenIDs)
+	for _, p := range pools {
+		w.seenIDs[p.ID] = struct{}{}
+	}
+}
+
+// sameTopology reports whether two pool sets match pool by pool, in
+// order, in everything the fingerprint hashes: ID, tokens and fee.
+func sameTopology(prev, cur []*amm.Pool) bool {
+	if len(prev) != len(cur) {
+		return false
+	}
+	for i, p := range cur {
+		q := prev[i]
+		if q != p && (q.ID != p.ID || q.Token0 != p.Token0 || q.Token1 != p.Token1 || q.Fee != p.Fee) {
+			return false
+		}
+	}
+	return true
+}
+
+// diffReserves returns the sorted IDs of pools whose reserves differ
+// between two views of one topology, aligned pool by pool. The result is
+// non-nil even when empty: "nothing changed" is a known dirty set.
+func diffReserves(prev, cur []*amm.Pool) []string {
 	changed := make([]string, 0)
-	for _, p := range cur {
-		q, ok := byID[p.ID]
-		if !ok || q.Reserve0 != p.Reserve0 || q.Reserve1 != p.Reserve1 {
+	for i, p := range cur {
+		if q := prev[i]; q != p && (q.Reserve0 != p.Reserve0 || q.Reserve1 != p.Reserve1) {
 			changed = append(changed, p.ID)
 		}
 	}

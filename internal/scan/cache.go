@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -69,24 +68,33 @@ func poolLess(a, b *amm.Pool) bool {
 func Fingerprint(pools []*amm.Pool) string {
 	pools = Canonicalize(pools)
 	h := sha256.New()
-	var buf [8]byte
+	// Fields go through one buffer, flushed to the hash in chunks, so
+	// the pass allocates the same few objects at any pool count.
+	buf := make([]byte, 0, fingerprintChunk)
 	for _, p := range pools {
-		writeField(h, p.ID)
-		writeField(h, p.Token0)
-		writeField(h, p.Token1)
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.Fee))
-		h.Write(buf[:])
+		buf = appendField(buf, p.ID)
+		buf = appendField(buf, p.Token0)
+		buf = appendField(buf, p.Token1)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Fee))
+		if len(buf) >= fingerprintChunk {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	h.Write(buf)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
-// writeField hashes a length-prefixed string so adjacent fields cannot
+// fingerprintChunk is the buffered byte count at which Fingerprint
+// flushes to the hash.
+const fingerprintChunk = 4096
+
+// appendField appends a length-prefixed string so adjacent fields cannot
 // alias ("ab"+"c" vs "a"+"bc").
-func writeField(w io.Writer, s string) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(s)))
-	w.Write(buf[:])
-	io.WriteString(w, s)
+func appendField(buf []byte, s string) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s)))
+	return append(buf, s...)
 }
 
 // topology is one cached enumeration result plus the inverted indexes

@@ -3,6 +3,7 @@ package scan
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"arbloop/internal/amm"
@@ -165,5 +166,41 @@ func TestMaxCyclesCapsEnumeration(t *testing.T) {
 	}
 	if _, err := New(Config{}, paperPrices()).Full(context.Background(), pools); err != nil {
 		t.Errorf("unlimited scan failed: %v", err)
+	}
+}
+
+// TestFingerprintGolden pins the digest: a topology cache, a persisted
+// baseline or a peer comparing fingerprints across versions must see the
+// same value for the same topology. The values were taken from the
+// per-field io.Writer implementation this buffered one replaced.
+func TestFingerprintGolden(t *testing.T) {
+	pools, _ := deltaMarket(t)
+	odd := []*amm.Pool{
+		{ID: "", Token0: "a", Token1: "bc", Reserve0: 1, Reserve1: 1, Fee: 0},
+		{ID: "ab", Token0: "c", Token1: "", Reserve0: 1, Reserve1: 1, Fee: math.Nextafter(1, 0)},
+		{ID: "zé\x00漢", Token0: string(make([]byte, 300)), Token1: "x", Reserve0: 1, Reserve1: 1, Fee: 0.003},
+	}
+	for _, tc := range []struct {
+		name  string
+		pools []*amm.Pool
+		want  string
+	}{
+		{"generated market", pools, "c9189a67f6de98ae82bf83590bd516ed751abefd04a9018bacd49e090f3217f6"},
+		{"paper pools", paperPools(t), "36ea2960e5ed51742432e9ba3746b233f6ef5c5e1c93584281e03bf56e8ab4df"},
+		{"odd fields", odd, "c4c30692582e21dd45891be2343441c56498884ba5fa67614eee09b54f740f64"},
+		{"empty", nil, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+	} {
+		if got := Fingerprint(tc.pools); got != tc.want {
+			t.Errorf("%s: Fingerprint = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestFingerprintAllocs pins Fingerprint's allocations to a constant:
+// the per-field writes it replaced cost 6 allocations per pool.
+func TestFingerprintAllocs(t *testing.T) {
+	pools, _ := deltaMarket(t)
+	if got := testing.AllocsPerRun(20, func() { Fingerprint(pools) }); got > 4 {
+		t.Errorf("Fingerprint of %d pools = %.0f allocs, want ≤ 4", len(pools), got)
 	}
 }

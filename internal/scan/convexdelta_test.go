@@ -98,7 +98,11 @@ func TestRunDeltaConvexWarmStartEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireReportWithinTol(t, delta, fullReport(t, state, src, cfg), 1e-6)
+			// The reference engine counts its own solves, so the tallies
+			// below are the delta engine's alone.
+			ref := cfg
+			ref.Strategy = newCountingConvex()
+			requireReportWithinTol(t, delta, fullReport(t, state, src, ref), 1e-6)
 			if delta.LoopsReused == 0 {
 				t.Errorf("shards=%d round %d: delta path never reused a loop", cfg.Shards, round)
 			}
@@ -106,8 +110,8 @@ func TestRunDeltaConvexWarmStartEquivalence(t *testing.T) {
 		if counting.warm.Load() == 0 {
 			t.Errorf("shards=%d: no re-optimization went through OptimizeWarm", cfg.Shards)
 		}
-		// Full scans (the captures and the comparison runs) cold-start;
-		// delta re-optimizations of same-orientation dirty loops must not.
+		// The capture cold-starts; delta re-optimizations of
+		// same-orientation dirty loops must not.
 		t.Logf("shards=%d: %d cold (capture) + %d cold (delta) / %d warm calls",
 			cfg.Shards, coldAfterCapture, counting.cold.Load()-coldAfterCapture, counting.warm.Load())
 	}

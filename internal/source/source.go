@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"sync"
 
 	"arbloop/internal/amm"
 	"arbloop/internal/cex"
@@ -19,8 +20,11 @@ import (
 )
 
 // PoolSource supplies the current set of liquidity pools. Implementations
-// must be safe for concurrent use; each call returns an independent
-// point-in-time view (the scanner never mutates the returned pools).
+// must be safe for concurrent use; each call returns a new slice holding
+// one point-in-time view. The *amm.Pool values in it are immutable and may
+// be shared across calls — a source may hand back the same pool while its
+// reserves do not move — so no consumer may modify them (copy a pool to
+// change it).
 type PoolSource interface {
 	// Pools returns analytic constant-product pools for the current state.
 	Pools(ctx context.Context) ([]*amm.Pool, error)
@@ -94,12 +98,29 @@ func (s *SnapshotSource) Prices(ctx context.Context, symbols []string) (map[stri
 }
 
 // ChainSource adapts the integer chain simulator to PoolSource, converting
-// big.Int reserves into whole-token float64 pools at a fixed scale. The
-// underlying state is read under its own lock, so the adapter is safe for
-// concurrent use and each Pools call sees one consistent block.
+// big.Int reserves into whole-token float64 pools at a fixed scale. Each
+// Pools call reads the whole state under one lock (chain.State.
+// AppendPools), so it sees one consistent block, and converts only the
+// pools written since the previous call: a pool whose revision has not
+// moved is served as the same *amm.Pool again. Safe for concurrent use.
 type ChainSource struct {
 	state *chain.State
 	scale float64
+
+	// mu serializes Pools calls over the buffers below.
+	mu sync.Mutex
+	// recs is the buffer each call reads the chain's records into.
+	recs []chain.PoolRecord
+	// built holds, in ID order, each pool as converted at the revision
+	// the last successful Pools call read; spare is the slice before it,
+	// reused as the next call's buffer.
+	built, spare []builtPool
+}
+
+// builtPool is one converted pool and the chain revision it reflects.
+type builtPool struct {
+	pool *amm.Pool
+	rev  uint64
 }
 
 var _ PoolSource = (*ChainSource)(nil)
@@ -113,35 +134,53 @@ func FromChain(state *chain.State, scale int64) *ChainSource {
 	return &ChainSource{state: state, scale: float64(scale)}
 }
 
-// Pools implements PoolSource.
+// Pools implements PoolSource. The slice is new on every call; the pools
+// in it are shared with earlier and later calls while their reserves do
+// not move (pools are immutable).
 func (c *ChainSource) Pools(ctx context.Context) ([]*amm.Pool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ids := c.state.PoolIDs()
-	pools := make([]*amm.Pool, 0, len(ids))
-	for _, id := range ids {
-		t0, t1, err := c.state.PoolTokens(id)
-		if err != nil {
-			return nil, err
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.recs = c.state.AppendPools(c.recs[:0])
+	prev, next := c.built, c.spare[:0]
+	j := 0
+	for _, r := range c.recs {
+		// Both lists are in ID order, so r's previous entry, if any, is
+		// at or after j.
+		for j < len(prev) && prev[j].pool.ID < r.ID {
+			j++
 		}
-		r0, r1, err := c.state.Reserves(id)
-		if err != nil {
-			return nil, err
+		if j < len(prev) && prev[j].rev == r.Revision && prev[j].pool.ID == r.ID {
+			next = append(next, prev[j])
+			continue
 		}
-		feeBps, err := c.state.PoolFee(id)
+		pool, err := amm.NewPool(r.ID, r.Token0, r.Token1,
+			intToFloat(r.Reserve0)/c.scale, intToFloat(r.Reserve1)/c.scale,
+			float64(r.FeeBps)/amm.FeeDenominator)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("source: pool %s: %w", r.ID, err)
 		}
-		f0, _ := new(big.Float).SetInt(r0).Float64()
-		f1, _ := new(big.Float).SetInt(r1).Float64()
-		pool, err := amm.NewPool(id, t0, t1, f0/c.scale, f1/c.scale, float64(feeBps)/amm.FeeDenominator)
-		if err != nil {
-			return nil, fmt.Errorf("source: pool %s: %w", id, err)
-		}
-		pools = append(pools, pool)
+		next = append(next, builtPool{pool: pool, rev: r.Revision})
+	}
+	c.built, c.spare = next, prev
+	pools := make([]*amm.Pool, len(next))
+	for i := range next {
+		pools[i] = next[i].pool
 	}
 	return pools, nil
+}
+
+// intToFloat rounds x to the nearest float64, ties to even: the value of
+// new(big.Float).SetInt(x).Float64(), without allocating a big.Float for
+// an x that fits an int64 (whose conversion rounds the same way).
+func intToFloat(x *big.Int) float64 {
+	if x.IsInt64() {
+		return float64(x.Int64())
+	}
+	f, _ := new(big.Float).SetInt(x).Float64()
+	return f
 }
 
 // MirrorToChain registers every pool of a snapshot on a chain state,

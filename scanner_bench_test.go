@@ -159,11 +159,16 @@ func benchmarkDeltaVsFull(b *testing.B, delta bool, extra ...arbloop.ScannerOpti
 	if dirty == 0 {
 		dirty = 1
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		market.trade(b, rng, dirty)
+	// Two fixed market states ~10% of pools apart, scanned in turn: every
+	// op moves the same pools one way or back, so the markets a run scans,
+	// and its allocs/op, do not depend on b.N. (Trading afresh every op
+	// let the market drift with b.N.) One warm-up round grows the scan's
+	// buffers.
+	states := [2][]*arbloop.Pool{market.snapshot(), nil}
+	market.trade(b, rng, dirty)
+	states[1] = market.snapshot()
+	scan := func(i int) {
+		market.restore(states[(i+1)%2])
 		if u, err = w.Refresh(ctx); err != nil {
 			b.Fatal(err)
 		}
@@ -171,6 +176,15 @@ func benchmarkDeltaVsFull(b *testing.B, delta bool, extra ...arbloop.ScannerOpti
 		if _, err := sc.ScanDelta(ctx, u); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+	}
+	b.StopTimer()
+	scan(0)
+	scan(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scan(i)
 	}
 }
 

@@ -52,6 +52,21 @@ func (m *mutableMarket) Pools(ctx context.Context) ([]*arbloop.Pool, error) {
 	return out, nil
 }
 
+// snapshot returns the current pool set; pools are never mutated, so
+// the copied slice is a snapshot.
+func (m *mutableMarket) snapshot() []*arbloop.Pool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]*arbloop.Pool(nil), m.pools...)
+}
+
+// restore makes a snapshot the current pool set.
+func (m *mutableMarket) restore(pools []*arbloop.Pool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.pools = append(m.pools[:0], pools...)
+}
+
 // trade moves the reserves of n random pools, preserving topology.
 func (m *mutableMarket) trade(t testing.TB, rng *rand.Rand, n int) {
 	t.Helper()
