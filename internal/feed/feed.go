@@ -94,7 +94,8 @@ type Update struct {
 	// ChangedPools lists, sorted, the IDs of pools whose reserves differ
 	// from the previous update — the dirty set a delta scan re-optimizes
 	// around. It is nil when the dirty set is unknown (the first update,
-	// or any topology change) and non-nil-but-empty when nothing moved.
+	// any topology change, or the pool order changed) and
+	// non-nil-but-empty when nothing moved.
 	// Consumers that skip updates (coalescing) must not union consecutive
 	// sets themselves; scan.Engine.Scan re-diffs reserves against its own
 	// baseline, so a stale set can never corrupt a delta scan.
@@ -245,9 +246,8 @@ type Watcher struct {
 	// re-admission (counted) and clears the entry. Guarded by refreshMu:
 	// quarantine only runs inside Refresh.
 	quarantinedIDs map[string]struct{}
-	// seenIDs is quarantine's duplicate-ID set for sources that do not
-	// serve pools in ascending ID order; cleared, not reallocated, per
-	// refresh. Guarded by refreshMu.
+	// seenIDs is quarantine's duplicate-ID set, cleared, not
+	// reallocated, per refresh. Guarded by refreshMu.
 	seenIDs map[string]struct{}
 
 	mu     sync.Mutex
@@ -362,13 +362,8 @@ func (w *Watcher) Refresh(ctx context.Context) (Update, error) {
 		Fingerprint:     fp,
 		TopologyChanged: prev.Version == 0 || fp != prev.Fingerprint,
 	}
-	switch {
-	case aligned:
+	if aligned {
 		u.ChangedPools = diffReserves(prev.Pools, pools)
-	case !u.TopologyChanged:
-		// The same pools in another order: equal fingerprints mean the
-		// canonical orders line up pool by pool.
-		u.ChangedPools = diffReserves(scan.Canonicalize(prev.Pools), scan.Canonicalize(pools))
 	}
 
 	w.mu.Lock()
@@ -399,36 +394,21 @@ func (w *Watcher) Refresh(ctx context.Context) (Update, error) {
 // operators can tell "flapping upstream" from "permanently poisoned".
 // Duplicate IDs are dropped but never remembered: their first, valid copy
 // kept the ID in the set throughout.
-//
-// While the valid IDs arrive in strictly ascending order (an ID-sorted
-// source such as chain.State) a repeat is impossible, so each ID is only
-// compared with the last valid one; the first ID out of that order moves
-// the check onto seenIDs, a set the watcher reuses across refreshes.
 func (w *Watcher) quarantine(pools []*amm.Pool) ([]*amm.Pool, int) {
+	if w.seenIDs == nil {
+		w.seenIDs = make(map[string]struct{}, len(pools))
+	}
+	clear(w.seenIDs)
 	var kept []*amm.Pool
 	dropped := 0
-	ascending := true
-	var lastID string
 	for i, p := range pools {
 		err := p.Validate()
 		dup := false
 		if err == nil {
-			if ascending && (i == dropped || p.ID > lastID) {
-				lastID = p.ID
+			if _, dup = w.seenIDs[p.ID]; dup {
+				err = errors.New("duplicate pool id")
 			} else {
-				if ascending {
-					ascending = false
-					valid := pools[:i]
-					if kept != nil {
-						valid = kept
-					}
-					w.resetSeenIDs(valid)
-				}
-				if _, dup = w.seenIDs[p.ID]; dup {
-					err = errors.New("duplicate pool id")
-				} else {
-					w.seenIDs[p.ID] = struct{}{}
-				}
+				w.seenIDs[p.ID] = struct{}{}
 			}
 		}
 		if err != nil {
@@ -460,17 +440,6 @@ func (w *Watcher) quarantine(pools []*amm.Pool) ([]*amm.Pool, int) {
 		return pools, 0
 	}
 	return kept, dropped
-}
-
-// resetSeenIDs makes seenIDs hold exactly the IDs of pools.
-func (w *Watcher) resetSeenIDs(pools []*amm.Pool) {
-	if w.seenIDs == nil {
-		w.seenIDs = make(map[string]struct{}, len(pools))
-	}
-	clear(w.seenIDs)
-	for _, p := range pools {
-		w.seenIDs[p.ID] = struct{}{}
-	}
 }
 
 // sameTopology reports whether two pool sets match pool by pool, in

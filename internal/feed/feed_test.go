@@ -271,8 +271,7 @@ func TestRefreshChangedPools(t *testing.T) {
 
 // TestRefreshPermutedOrderIsNotTopologyChange is the fingerprint-order
 // regression: a source returning the same pool set in a different order
-// must not signal a (spurious) topology change, and reserve diffs still
-// resolve by pool ID.
+// must not signal a (spurious) topology change or dirty any pool.
 func TestRefreshPermutedOrderIsNotTopologyChange(t *testing.T) {
 	src := &mutablePools{}
 	a, b := pool(t, "p1", "X", "Y", 100, 200), pool(t, "p2", "Y", "Z", 10, 10)
